@@ -7,32 +7,14 @@ point of the package is to make the scheme's password independence
 reproducible at desk scale.
 """
 
-from authlab.attack import (
-    AttackReport,
-    AttackTrial,
-    Scenario,
-    clone_card,
-    run_cloned_card_attack,
-    run_random_password_attack,
-)
-from authlab.bits import (
-    DEFAULT_HASH_ID,
-    Bits,
-    embed_timestamp,
-    hash_bits,
-    hash_bytes,
-)
-from authlab.clock import Clock, clock_from_env, fixed_clock, system_clock
+from authlab.attack import Scenario, run_random_password_attack
+from authlab.bits import Bits, hash_bits, hash_bytes
+from authlab.clock import fixed_clock
 from authlab.protocol import (
-    DEFAULT_SKEW_SECS,
-    DEFAULT_WINDOW_SECS,
     AuthDecision,
-    LoginDerivation,
     LoginRequest,
-    Password,
     Reason,
     ServerSecrets,
-    SmartcardState,
     authenticate,
     change_password,
     derive_login_values,
@@ -44,78 +26,9 @@ from authlab.storage import (
     CardFileError,
     ConfigError,
     ServerConfig,
-    StorageError,
     load_card,
     load_server_config,
     save_card,
     save_server_config,
 )
-from authlab.wire import (
-    AuthServer,
-    BadTypeError,
-    ConnectionFailedError,
-    MalformedFrameError,
-    MalformedResponseError,
-    WireError,
-    client_login,
-    decode_auth_response,
-    decode_login_request,
-    encode_auth_response,
-    encode_login_request,
-    serve,
-)
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "AttackReport",
-    "AttackTrial",
-    "AuthDecision",
-    "AuthServer",
-    "BadTypeError",
-    "Bits",
-    "CardFileError",
-    "Clock",
-    "ConfigError",
-    "ConnectionFailedError",
-    "DEFAULT_HASH_ID",
-    "DEFAULT_SKEW_SECS",
-    "DEFAULT_WINDOW_SECS",
-    "LoginDerivation",
-    "LoginRequest",
-    "MalformedFrameError",
-    "MalformedResponseError",
-    "Password",
-    "Reason",
-    "Scenario",
-    "ServerConfig",
-    "ServerSecrets",
-    "SmartcardState",
-    "StorageError",
-    "WireError",
-    "authenticate",
-    "change_password",
-    "client_login",
-    "clock_from_env",
-    "clone_card",
-    "decode_auth_response",
-    "decode_login_request",
-    "derive_login_values",
-    "embed_timestamp",
-    "encode_auth_response",
-    "encode_login_request",
-    "fixed_clock",
-    "hash_bits",
-    "hash_bytes",
-    "issue_card",
-    "load_card",
-    "load_server_config",
-    "make_login_request",
-    "register_user",
-    "run_cloned_card_attack",
-    "run_random_password_attack",
-    "save_card",
-    "save_server_config",
-    "serve",
-    "system_clock",
-]
+from authlab.wire import client_login, serve

@@ -4,13 +4,17 @@ Each scenario draws seeded random passwords, submits a login per trial, and
 aggregates an exact acceptance rate. Against the scheme as specified the rate
 is 1.0 — the server check holds for every password — which is precisely the
 vulnerability this harness exists to demonstrate.
+
+Both scenarios run the same trials: the runner only reads the card, so a
+cloned card is indistinguishable from the victim's and the scenario is just
+the report's tag.
 """
 
 from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
 
@@ -74,11 +78,6 @@ class AttackReport:
         )
 
 
-def clone_card(card: SmartcardState) -> SmartcardState:
-    """Duplicate of a (briefly stolen) card; the original is untouched."""
-    return replace(card)
-
-
 def draw_password(rng: random.Random) -> Password:
     """Uniform random length 0..64, arbitrary byte values."""
     return rng.randbytes(rng.randint(0, MAX_PASSWORD_LEN))
@@ -99,7 +98,8 @@ def run_random_password_attack(
 
     Deterministic given (seed, clock): passwords come from a seeded PRNG and
     every timestamp from the injected clock. `submit` defaults to building the
-    request and authenticating in-process with a fresh receipt time.
+    request and authenticating in-process with a fresh receipt time. The card
+    is never modified; `scenario` only tags the report.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -107,7 +107,9 @@ def run_random_password_attack(
     if submit is None:
         def submit(c: SmartcardState, pw: Password, t: int) -> AuthDecision:
             req = make_login_request(c, pw, t)
-            return authenticate(secrets, req, t_star=clock(), window_secs=window_secs)
+            return authenticate(
+                secrets, req, t_star=clock(), window_secs=window_secs, hash_id=c.hash_id
+            )
 
     rng = random.Random(seed)
     log = []
@@ -135,30 +137,3 @@ def run_random_password_attack(
         trial_log=tuple(log),
     )
 
-
-def run_cloned_card_attack(
-    victim_card: SmartcardState,
-    secrets: ServerSecrets,
-    trials: int,
-    seed: int,
-    clock: Clock,
-    *,
-    window_secs: int = DEFAULT_WINDOW_SECS,
-    submit: Submit | None = None,
-) -> AttackReport:
-    """Duplicate the victim's card, then log in with random passwords.
-
-    Read-only with respect to the victim: their card state is cloned, never
-    modified, and their own honest logins keep working throughout.
-    """
-    dup = clone_card(victim_card)
-    return run_random_password_attack(
-        dup,
-        secrets,
-        trials,
-        seed,
-        clock,
-        window_secs=window_secs,
-        submit=submit,
-        scenario=Scenario.CLONED_CARD,
-    )

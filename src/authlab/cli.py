@@ -15,9 +15,9 @@ import json
 import sys
 import time
 
-from authlab.attack import run_cloned_card_attack, run_random_password_attack
+from authlab.attack import Scenario, run_random_password_attack
 from authlab.clock import Clock, clock_from_env
-from authlab.protocol import AuthDecision, change_password, issue_card
+from authlab.protocol import AuthDecision, change_password, issue_card, make_login_request
 from authlab.storage import (
     CardFileError,
     ConfigError,
@@ -98,23 +98,17 @@ def cmd_serve(args: argparse.Namespace, clock: Clock) -> int:
             _diag(f"cannot open audit log: {exc}")
             return EXIT_BAD_INPUT
     try:
-        handle = serve(
-            config.secrets,
-            config.bind_address,
-            config.window_secs,
-            clock,
-            skew_secs=config.skew_secs,
-            hash_id=config.hash_id,
-            audit_stream=audit_file,
-        )
+        handle = serve(config, clock, audit_stream=audit_file)
     except OSError as exc:
         _diag(f"cannot bind {'%s:%d' % config.bind_address}: {exc}")
         if audit_file:
             audit_file.close()
         return EXIT_BIND_FAILURE
 
-    _emit({"listening": "%s:%d" % handle.address})
+    # announce inside the try: an interrupt that follows the announcement at
+    # once must still close the handle, or its thread keeps the process alive
     try:
+        _emit({"listening": "%s:%d" % handle.address})
         while True:
             time.sleep(1)
     except KeyboardInterrupt:
@@ -173,8 +167,12 @@ def cmd_attack(args: argparse.Namespace, clock: Clock) -> int:
         _diag(str(exc))
         return EXIT_BAD_INPUT
 
-    submit = None
-    if args.remote is not None:
+    if args.remote is None:
+
+        def submit(c, pw, t):
+            return config.authenticate(make_login_request(c, pw, t), clock())
+
+    else:
         try:
             address = parse_address(args.remote) if args.remote else config.bind_address
         except ValueError as exc:
@@ -184,19 +182,10 @@ def cmd_attack(args: argparse.Namespace, clock: Clock) -> int:
         def submit(c, pw, t):
             return client_login(address, c, pw, clock)
 
-    runner = {
-        "random-password": run_random_password_attack,
-        "cloned-card": run_cloned_card_attack,
-    }[args.scenario]
+    scenario = Scenario[args.scenario.upper().replace("-", "_")]
     try:
-        report = runner(
-            card,
-            config.secrets,
-            args.trials,
-            args.seed,
-            clock,
-            window_secs=config.window_secs,
-            submit=submit,
+        report = run_random_password_attack(
+            card, config.secrets, args.trials, args.seed, clock, submit=submit, scenario=scenario
         )
     except WireError as exc:
         _diag(f"remote attack failed: {exc}")

@@ -19,6 +19,7 @@ faithful to the scheme under study, not an implementation bug.
 
 from __future__ import annotations
 
+import hmac
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -217,7 +218,7 @@ def authenticate(
     b = hash_bits(req.cid ^ recovered_hpw, hash_id)
     expected_c = hash_bits(tb ^ req.n_i ^ b ^ secrets.y, hash_id)
 
-    if expected_c == req.c_i:
+    if hmac.compare_digest(expected_c.value, req.c_i.value):
         return AuthDecision(accepted=True, reason=Reason.OK, recovered_hpw=recovered_hpw)
     return AuthDecision(accepted=False, reason=Reason.CHECK_FAILED, recovered_hpw=recovered_hpw)
 

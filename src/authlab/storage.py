@@ -25,8 +25,11 @@ from authlab.bits import DEFAULT_HASH_ID, Bits, hash_width
 from authlab.protocol import (
     DEFAULT_SKEW_SECS,
     DEFAULT_WINDOW_SECS,
+    AuthDecision,
+    LoginRequest,
     ServerSecrets,
     SmartcardState,
+    authenticate,
 )
 
 CARD_FORMAT_VERSION = 1
@@ -101,6 +104,9 @@ def load_card(path: str | Path) -> SmartcardState:
 
 @dataclass(frozen=True)
 class ServerConfig:
+    """The server's whole policy: secrets, freshness window, skew and hash,
+    plus where to listen and audit."""
+
     secrets: ServerSecrets
     bind_address: tuple[str, int]
     window_secs: int = DEFAULT_WINDOW_SECS
@@ -108,12 +114,21 @@ class ServerConfig:
     hash_id: str = DEFAULT_HASH_ID
     audit_path: str | None = None
 
+    def authenticate(self, req: LoginRequest, t_star: int) -> AuthDecision:
+        """The server step under this policy, evaluated at receipt time t_star."""
+        return authenticate(
+            self.secrets, req, t_star, self.window_secs, skew_secs=self.skew_secs, hash_id=self.hash_id
+        )
+
 
 def parse_address(text: str) -> tuple[str, int]:
-    host, sep, port = text.rpartition(":")
+    host, sep, port_text = text.rpartition(":")
     if not sep or not host:
         raise ValueError(f"address must be host:port, got {text!r}")
-    return host, int(port)
+    port = int(port_text)
+    if not 0 <= port <= 65535:
+        raise ValueError(f"port must be in 0..65535, got {port}")
+    return host, port
 
 
 def load_server_config(path: str | Path) -> ServerConfig:

@@ -33,19 +33,15 @@ from typing import IO
 
 from authlab.clock import Clock, system_clock
 from authlab.protocol import (
-    DEFAULT_HASH_ID,
-    DEFAULT_SKEW_SECS,
-    DEFAULT_WINDOW_SECS,
     AuthDecision,
     Bits,
     LoginRequest,
     Password,
     Reason,
-    ServerSecrets,
     SmartcardState,
-    authenticate,
     make_login_request,
 )
+from authlab.storage import ServerConfig
 
 logger = logging.getLogger(__name__)
 
@@ -205,19 +201,13 @@ class _LoginHandler(socketserver.BaseRequestHandler):
         except (MalformedFrameError, ValueError):
             srv.audit(peer, None, "reject", "MALFORMED_FRAME")
             return
-        decision = authenticate(
-            srv.secrets,
-            req,
-            t_star=srv.clock(),
-            window_secs=srv.window_secs,
-            skew_secs=srv.skew_secs,
-            hash_id=srv.hash_id,
-        )
-        try:
-            conn.sendall(encode_auth_response(decision, srv.secrets.y.width))
-        except OSError:
-            pass  # peer went away; the audit line still records the decision
+        decision = srv.config.authenticate(req, srv.clock())
+        # audit before replying, so a client that has its verdict can already read the line
         srv.audit(peer, req.cid.hex(), "accept" if decision.accepted else "reject", decision.reason.value)
+        try:
+            conn.sendall(encode_auth_response(decision, srv.config.secrets.y.width))
+        except OSError:
+            pass  # peer went away; the audit line already records the decision
 
 
 class AuthServer(socketserver.ThreadingTCPServer):
@@ -233,25 +223,13 @@ class AuthServer(socketserver.ThreadingTCPServer):
     block_on_close = True
     io_timeout = 5.0
 
-    def __init__(
-        self,
-        secrets: ServerSecrets,
-        bind_address: tuple[str, int],
-        window_secs: int,
-        clock: Clock,
-        skew_secs: int,
-        hash_id: str,
-        audit_stream: IO[str] | None,
-    ):
-        self.secrets = secrets
-        self.window_secs = window_secs
-        self.skew_secs = skew_secs
-        self.hash_id = hash_id
+    def __init__(self, config: ServerConfig, clock: Clock, audit_stream: IO[str] | None):
+        self.config = config
         self.clock = clock
         self._audit_stream = audit_stream if audit_stream is not None else sys.stderr
         self._audit_lock = threading.Lock()
         self._thread: threading.Thread | None = None
-        super().__init__(bind_address, _LoginHandler)
+        super().__init__(config.bind_address, _LoginHandler)
 
     @property
     def address(self) -> tuple[str, int]:
@@ -286,27 +264,34 @@ class AuthServer(socketserver.ThreadingTCPServer):
             self._audit_stream.write(line + "\n")
             self._audit_stream.flush()
 
+    def shutdown_request(self, request) -> None:
+        # discard, without waiting, what the peer already sent (up to one frame):
+        # closing with unread input makes the kernel reset the connection, not end it
+        try:
+            request.setblocking(False)
+            request.recv(_HEADER.size + MAX_PAYLOAD)
+        except OSError:
+            pass
+        super().shutdown_request(request)
+
     def handle_error(self, request, client_address) -> None:
         # never let one bad connection take the server down
         logger.exception("unhandled error serving %s", client_address)
 
 
 def serve(
-    secrets: ServerSecrets,
-    bind_address: tuple[str, int] = ("127.0.0.1", 0),
-    window_secs: int = DEFAULT_WINDOW_SECS,
+    config: ServerConfig,
     clock: Clock = system_clock,
     *,
-    skew_secs: int = DEFAULT_SKEW_SECS,
-    hash_id: str = DEFAULT_HASH_ID,
     audit_stream: IO[str] | None = None,
 ) -> AuthServer:
-    """Bind, start accepting in a background thread, and return the handle.
+    """Bind to config.bind_address, start accepting in a background thread,
+    and return the handle.
 
     Bind failures surface immediately as OSError. Close the handle (or use it
     as a context manager) for an orderly shutdown.
     """
-    server = AuthServer(secrets, bind_address, window_secs, clock, skew_secs, hash_id, audit_stream)
+    server = AuthServer(config, clock, audit_stream)
     server.start()
     return server
 

@@ -21,6 +21,7 @@ from conftest import make_strawman, as_int, random_bits
 from authlab import (
     Reason,
     Scenario,
+    ServerConfig,
     ServerSecrets,
     authenticate,
     change_password,
@@ -29,7 +30,6 @@ from authlab import (
     hash_bytes,
     issue_card,
     make_login_request,
-    run_cloned_card_attack,
     run_random_password_attack,
     serve,
 )
@@ -74,7 +74,9 @@ def a2_state():
     card = issue_card(pw, secrets)
     start = time.perf_counter()
     random_report = run_random_password_attack(card, secrets, 1000, 7, fixed_clock(NOW))
-    cloned_report = run_cloned_card_attack(card, secrets, 1000, 8, fixed_clock(NOW))
+    cloned_report = run_random_password_attack(
+        card, secrets, 1000, 8, fixed_clock(NOW), scenario=Scenario.CLONED_CARD
+    )
     elapsed = time.perf_counter() - start
     return card, secrets, random_report, cloned_report, elapsed
 
@@ -235,7 +237,7 @@ def test_a8_wire_fidelity():
     golden_ok = encode_login_request(golden_req).hex() == GOLDEN_FRAME_HEX
 
     transparency_failures = 0
-    with serve(secrets, ("127.0.0.1", 0), 60, fixed_clock(NOW), audit_stream=io.StringIO()) as srv:
+    with serve(ServerConfig(secrets, ("127.0.0.1", 0)), fixed_clock(NOW), audit_stream=io.StringIO()) as srv:
         for _ in range(50):
             trial_pw = rng.randbytes(rng.randint(0, 32))
             offset = rng.choice([0, 5, 59, 60, 61, 1000])
@@ -297,7 +299,7 @@ def test_a9_fuzz_robustness():
     bad_accepts = 0
     io_failures = 0
     try:
-        with serve(secrets, ("127.0.0.1", 0), 60, fixed_clock(NOW), audit_stream=io.StringIO()) as srv:
+        with serve(ServerConfig(secrets, ("127.0.0.1", 0)), fixed_clock(NOW), audit_stream=io.StringIO()) as srv:
             with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
                 responses = list(pool.map(lambda f: poke(srv.address, f), frames))
             for frame, response in zip(frames, responses):

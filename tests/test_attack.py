@@ -1,5 +1,6 @@
 import json
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -9,12 +10,10 @@ from authlab import (
     Scenario,
     ServerSecrets,
     authenticate,
-    clone_card,
     fixed_clock,
     hash_bytes,
     issue_card,
     make_login_request,
-    run_cloned_card_attack,
     run_random_password_attack,
 )
 
@@ -24,18 +23,18 @@ EMPTY_FIRST_SEED = 139
 
 class TestCloneCard:
     def test_clone_equals_original(self, card):
-        dup = clone_card(card)
+        dup = replace(card)
         assert dup == card
         assert dup is not card
 
     def test_clone_is_independent(self, card, now):
-        dup = clone_card(card)
+        dup = replace(card)
         original_n_i = card.n_i
         dup.n_i = dup.n_i ^ hash_bytes(b"scribble")
         assert card.n_i == original_n_i
 
     def test_clone_authenticates_with_random_password(self, card, server_secrets, now):
-        dup = clone_card(card)
+        dup = replace(card)
         req = make_login_request(dup, b"intruder's guess", now)
         assert authenticate(server_secrets, req, t_star=now).accepted
 
@@ -78,13 +77,17 @@ class TestRandomPasswordAttack:
 
 class TestClonedCardAttack:
     def test_full_acceptance_rate_and_tag(self, card, server_secrets, now):
-        report = run_cloned_card_attack(card, server_secrets, 1000, 9, fixed_clock(now))
+        report = run_random_password_attack(
+            card, server_secrets, 1000, 9, fixed_clock(now), scenario=Scenario.CLONED_CARD
+        )
         assert report.acceptance_rate == 1.0
         assert report.scenario is Scenario.CLONED_CARD
 
     def test_victim_unaffected(self, card, server_secrets, now):
-        before = clone_card(card)
-        run_cloned_card_attack(card, server_secrets, 100, 5, fixed_clock(now))
+        before = replace(card)
+        run_random_password_attack(
+            card, server_secrets, 100, 5, fixed_clock(now), scenario=Scenario.CLONED_CARD
+        )
         assert card == before
         honest = make_login_request(card, b"alice-pw", now)
         assert authenticate(server_secrets, honest, t_star=now).accepted

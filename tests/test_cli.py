@@ -1,3 +1,4 @@
+import io
 import json
 import signal
 import subprocess
@@ -6,7 +7,15 @@ import sys
 import pytest
 
 from conftest import GOLDEN_PW, GOLDEN_X_HEX, GOLDEN_Y_HEX
-from authlab import fixed_clock, hash_bytes, issue_card, load_card, serve
+from authlab import (
+    ServerConfig,
+    fixed_clock,
+    hash_bytes,
+    issue_card,
+    load_card,
+    load_server_config,
+    serve,
+)
 from authlab.cli import main
 
 PW = GOLDEN_PW.decode()
@@ -42,7 +51,7 @@ def card_path(tmp_path, config_path, capsys):
 @pytest.fixture
 def live_server(server_secrets, now, tmp_path):
     audit = open(tmp_path / "audit.log", "w")
-    with serve(server_secrets, ("127.0.0.1", 0), 60, fixed_clock(now), audit_stream=audit) as srv:
+    with serve(ServerConfig(server_secrets, ("127.0.0.1", 0)), fixed_clock(now), audit_stream=audit) as srv:
         yield "%s:%d" % srv.address
     audit.close()
 
@@ -242,7 +251,7 @@ class TestServeCommand:
         assert rc == 0
 
     def test_bind_conflict_exits_4(self, tmp_path, server_secrets, now, capsys):
-        with serve(server_secrets, ("127.0.0.1", 0), 60, fixed_clock(now)) as srv:
+        with serve(ServerConfig(server_secrets, ("127.0.0.1", 0)), fixed_clock(now)) as srv:
             config = write_config(tmp_path, bind_address="%s:%d" % srv.address)
             code = main(["serve", "--config", str(config)])
         assert code == 4
@@ -253,6 +262,11 @@ class TestServeCommand:
         bad.write_text(json.dumps({"x_hex": GOLDEN_X_HEX, "y_hex": "1234"}))
         assert main(["serve", "--config", str(bad)]) == 2
         capsys.readouterr()
+
+    def test_out_of_range_port_exits_2(self, tmp_path, capsys):
+        config = write_config(tmp_path, bind_address="127.0.0.1:99999")
+        assert main(["serve", "--config", str(config)]) == 2
+        assert "bad server config" in capsys.readouterr().err
 
 
 def test_help_exits_0(capsys):
@@ -278,3 +292,23 @@ def test_configured_audit_file_receives_lines(tmp_path, card_path, fake_now):
     lines = [json.loads(line) for line in audit_path.read_text().splitlines()]
     assert len(lines) == 1
     assert lines[0]["decision"] == "accept"
+
+
+def test_sha512_config_works_in_every_command(tmp_path, fake_now, capsys):
+    x_hex, y_hex = (hash_bytes(label, "sha512").hex() for label in (b"server-x", b"server-y"))
+    config = str(write_config(tmp_path, x_hex=x_hex, y_hex=y_hex, hash_id="sha512"))
+    card = str(tmp_path / "alice.card")
+    assert main(["register", "--config", config, "--out", card, "--password", PW]) == 0
+    for scenario in ("random-password", "cloned-card"):
+        argv = ["attack", "--card", card, "--config", config, "--scenario", scenario, "--trials", "20"]
+        assert main(argv) == 0
+    capsys.readouterr()
+
+    with serve(load_server_config(config), fixed_clock(fake_now), audit_stream=io.StringIO()) as srv:
+        address = "%s:%d" % srv.address
+        assert main(["login", "--card", card, "--server", address, "--password", PW]) == 0
+        assert json.loads(capsys.readouterr().out)["recovered_hpw"] == hash_bytes(GOLDEN_PW, "sha512").hex()
+        assert main(["attack", "--card", card, "--config", config, "--trials", "5", "--remote", address]) == 0
+        assert main(["change-password", "--card", card, "--old-password", PW, "--new-password", "next"]) == 0
+        assert main(["login", "--card", card, "--server", address, "--password", "next"]) == 0
+    capsys.readouterr()

@@ -12,6 +12,7 @@ from authlab import (
     ServerSecrets,
     authenticate,
     change_password,
+    derive_login_values,
     hash_bits,
     hash_bytes,
     issue_card,

@@ -126,3 +126,7 @@ def test_parse_address():
         parse_address("8080")
     with pytest.raises(ValueError):
         parse_address("host:")
+    assert parse_address("localhost:65535") == ("localhost", 65535)
+    for out_of_range in ("127.0.0.1:99999", "host:65536", "host:-1"):
+        with pytest.raises(ValueError):
+            parse_address(out_of_range)

@@ -12,6 +12,7 @@ from authlab import (
     AuthDecision,
     LoginRequest,
     Reason,
+    ServerConfig,
     authenticate,
     client_login,
     fixed_clock,
@@ -149,7 +150,7 @@ def audit():
 
 @pytest.fixture
 def live_server(server_secrets, now, audit):
-    with serve(server_secrets, ("127.0.0.1", 0), 60, fixed_clock(now), audit_stream=audit) as srv:
+    with serve(ServerConfig(server_secrets, ("127.0.0.1", 0)), fixed_clock(now), audit_stream=audit) as srv:
         yield srv
 
 
@@ -222,7 +223,7 @@ class TestServer:
 
     def test_bind_conflict_raises(self, live_server, server_secrets, now):
         with pytest.raises(OSError):
-            serve(server_secrets, live_server.address, 60, fixed_clock(now))
+            serve(ServerConfig(server_secrets, live_server.address), fixed_clock(now))
 
     def test_port_zero_resolves(self, live_server):
         host, port = live_server.address
