@@ -21,12 +21,16 @@ def fixed_clock(t: int) -> Clock:
 
 
 def clock_from_env(env: Mapping[str, str] | None = None) -> Clock:
-    """System clock, unless AUTHLAB_FAKE_TIME pins it to an integer second."""
+    """System clock, unless AUTHLAB_FAKE_TIME pins it to an integer second
+    in 0..2**64-1, the range a login timestamp can carry."""
     env = os.environ if env is None else env
     raw = env.get(FAKE_TIME_ENV)
     if raw is None:
         return system_clock
     try:
-        return fixed_clock(int(raw))
+        t = int(raw)
     except ValueError as exc:
         raise ValueError(f"{FAKE_TIME_ENV} must be integer seconds, got {raw!r}") from exc
+    if not 0 <= t < 1 << 64:
+        raise ValueError(f"{FAKE_TIME_ENV} must be in 0..2**64-1, got {raw!r}")
+    return fixed_clock(t)

@@ -28,7 +28,6 @@ from authlab.bits import (
     DEFAULT_HASH_ID,
     Bits,
     embed_timestamp,
-    hash_bits,
     hash_bytes,
     hash_width,
 )
@@ -135,7 +134,7 @@ def register_user(pw: Password, secrets: ServerSecrets, hash_id: str = DEFAULT_H
     Identical passwords under the same master secret yield identical values;
     that is inherent to the construction, not an implementation choice.
     """
-    return hash_bytes(pw, hash_id) ^ hash_bits(secrets.x, hash_id)
+    return hash_bytes(pw, hash_id) ^ hash_bytes(secrets.x, hash_id)
 
 
 def issue_card(pw: Password, secrets: ServerSecrets, hash_id: str = DEFAULT_HASH_ID) -> SmartcardState:
@@ -167,9 +166,9 @@ def derive_login_values(card: SmartcardState, typed_pw: Password, t: int) -> Log
     """
     hpw = hash_bytes(typed_pw, card.hash_id)
     tb = embed_timestamp(t, card.k)
-    cid = hpw ^ hash_bits(card.n_i ^ card.y ^ tb, card.hash_id)
-    binding = hash_bits(cid ^ hpw, card.hash_id)
-    check = hash_bits(tb ^ card.n_i ^ binding ^ card.y, card.hash_id)
+    cid = hpw ^ hash_bytes(card.n_i ^ card.y ^ tb, card.hash_id)
+    binding = hash_bytes(cid ^ hpw, card.hash_id)
+    check = hash_bytes(tb ^ card.n_i ^ binding ^ card.y, card.hash_id)
     return LoginDerivation(hpw=hpw, cid=cid, binding=binding, check=check)
 
 
@@ -214,11 +213,11 @@ def authenticate(
         return AuthDecision(accepted=False, reason=Reason.FUTURE_TIMESTAMP)
 
     tb = embed_timestamp(req.t, secrets.y.width)
-    recovered_hpw = req.cid ^ hash_bits(req.n_i ^ secrets.y ^ tb, hash_id)
-    b = hash_bits(req.cid ^ recovered_hpw, hash_id)
-    expected_c = hash_bits(tb ^ req.n_i ^ b ^ secrets.y, hash_id)
+    recovered_hpw = req.cid ^ hash_bytes(req.n_i ^ secrets.y ^ tb, hash_id)
+    b = hash_bytes(req.cid ^ recovered_hpw, hash_id)
+    expected_c = hash_bytes(tb ^ req.n_i ^ b ^ secrets.y, hash_id)
 
-    if hmac.compare_digest(expected_c.value, req.c_i.value):
+    if hmac.compare_digest(expected_c, req.c_i):
         return AuthDecision(accepted=True, reason=Reason.OK, recovered_hpw=recovered_hpw)
     return AuthDecision(accepted=False, reason=Reason.CHECK_FAILED, recovered_hpw=recovered_hpw)
 

@@ -82,9 +82,11 @@ def save_card(path: str | Path, card: SmartcardState) -> None:
 
 def load_card(path: str | Path) -> SmartcardState:
     doc = _load_json(path, CardFileError)
-    if doc.get("format_version") != CARD_FORMAT_VERSION:
+    version = doc.get("format_version")
+    # type() rather than ==: JSON true loads as a bool, and True == 1.
+    if type(version) is not int or version != CARD_FORMAT_VERSION:
         raise CardFileError(
-            f"unsupported card format_version: {doc.get('format_version')!r}"
+            f"unsupported card format_version: {version!r}"
         )
     hash_id = doc.get("hash_id")
     k = doc.get("k")
@@ -158,9 +160,10 @@ def load_server_config(path: str | Path) -> ServerConfig:
 
     window_secs = doc.get("window_secs", DEFAULT_WINDOW_SECS)
     skew_secs = doc.get("skew_secs", DEFAULT_SKEW_SECS)
-    if not isinstance(window_secs, int) or window_secs <= 0:
+    # type() rather than isinstance(): bool is an int subclass, and true/false are not seconds.
+    if type(window_secs) is not int or window_secs <= 0:
         raise ConfigError(f"window_secs must be a positive integer, got {window_secs!r}")
-    if not isinstance(skew_secs, int) or skew_secs < 0:
+    if type(skew_secs) is not int or skew_secs < 0:
         raise ConfigError(f"skew_secs must be a non-negative integer, got {skew_secs!r}")
 
     audit_path = doc.get("audit_path")

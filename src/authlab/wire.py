@@ -110,7 +110,7 @@ def decode_frame(data: bytes) -> tuple[int, bytes]:
 
 
 def encode_login_request(req: LoginRequest) -> bytes:
-    payload = req.cid.value + req.n_i.value + req.c_i.value + req.t.to_bytes(8, "big")
+    payload = req.cid + req.n_i + req.c_i + req.t.to_bytes(8, "big")
     return encode_frame(MSG_LOGIN_REQUEST, payload)
 
 
@@ -136,7 +136,7 @@ def decode_login_request(data: bytes) -> LoginRequest:
 
 def encode_auth_response(decision: AuthDecision, width: int) -> bytes:
     if decision.recovered_hpw is not None:
-        recovered = decision.recovered_hpw.value
+        recovered = decision.recovered_hpw
     else:
         recovered = bytes(width // 8)
     return encode_frame(MSG_AUTH_RESPONSE, bytes([STATUS_BY_REASON[decision.reason]]) + recovered)

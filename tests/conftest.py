@@ -24,7 +24,7 @@ def random_bits(rng: random.Random, width: int = 256) -> Bits:
 
 
 def as_int(b: Bits) -> int:
-    return int.from_bytes(b.value, "big")
+    return int.from_bytes(b, "big")
 
 
 def as_bits(v: int, width: int = 256) -> Bits:

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from conftest import as_int, random_bits
 from authlab.bits import Bits, embed_timestamp, hash_bits, hash_bytes, hash_width
 
 # FIPS 180 test vectors, frozen from the standard rather than recomputed
@@ -41,23 +42,36 @@ def test_hex_round_trip():
         assert b.hex() == b.hex().lower()
 
 
+# 64 is the narrowest usable width; 256 and 512 are sha256 and sha512
+XOR_WIDTHS = (64, 256, 512)
+
+
 def test_xor_algebra():
     rng = random.Random(2)
-    zeros = Bits.zeros(256)
-    for _ in range(200):
-        a = Bits(rng.randbytes(32))
-        b = Bits(rng.randbytes(32))
-        c = Bits(rng.randbytes(32))
-        assert a ^ zeros == a
-        assert a ^ a == zeros
-        assert (a ^ b) ^ b == a
-        assert a ^ b == b ^ a
-        assert (a ^ b) ^ c == a ^ (b ^ c)
+    for width in XOR_WIDTHS:
+        zeros = Bits.zeros(width)
+        for _ in range(200):
+            a, b, c = (random_bits(rng, width) for _ in range(3))
+            assert type(a ^ b) is Bits and (a ^ b).width == width
+            assert as_int(a ^ b) == as_int(a) ^ as_int(b)
+            assert a ^ zeros == a
+            assert a ^ a == zeros
+            assert (a ^ b) ^ b == a
+            assert a ^ b == b ^ a
+            assert (a ^ b) ^ c == a ^ (b ^ c)
 
 
 def test_xor_width_mismatch_rejected():
-    with pytest.raises(ValueError, match="width mismatch"):
-        Bits(b"\x00" * 32) ^ Bits(b"\x00" * 16)
+    for width in XOR_WIDTHS:
+        n = width // 8
+        with pytest.raises(ValueError, match="width mismatch"):
+            Bits(b"\x00" * n) ^ Bits(b"\x00" * (n // 2))
+        with pytest.raises(ValueError, match="width mismatch"):
+            Bits(b"\x00" * n) ^ Bits(b"\x00" * (n + 1))
+        with pytest.raises(TypeError):
+            Bits(b"\x00" * n) ^ bytes(n)
+        with pytest.raises(TypeError):
+            bytes(n) ^ Bits(b"\x00" * n)
 
 
 def test_bits_must_be_non_empty():
@@ -66,7 +80,7 @@ def test_bits_must_be_non_empty():
 
 
 def test_zeros_validates_width():
-    assert Bits.zeros(256).value == bytes(32)
+    assert Bits.zeros(256) == bytes(32)
     with pytest.raises(ValueError):
         Bits.zeros(0)
     with pytest.raises(ValueError):
@@ -76,7 +90,7 @@ def test_zeros_validates_width():
 def test_embed_timestamp_zero_and_one():
     assert embed_timestamp(0, 256) == Bits.zeros(256)
     one = embed_timestamp(1, 256)
-    assert one.value == bytes(31) + b"\x01"
+    assert one == bytes(31) + b"\x01"
 
 
 def test_embed_timestamp_self_inverse():
@@ -87,7 +101,7 @@ def test_embed_timestamp_self_inverse():
 def test_embed_timestamp_injective_sample():
     rng = random.Random(3)
     stamps = [rng.randrange(0, 1 << 64) for _ in range(500)]
-    encoded = {embed_timestamp(t, 256).value for t in stamps}
+    encoded = {embed_timestamp(t, 256) for t in stamps}
     assert len(encoded) == len(set(stamps))
 
 

@@ -230,24 +230,31 @@ class TestAttack:
         assert code == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("fake_time", ["-1", str(1 << 64)])
+    def test_out_of_range_fake_time_exits_2(self, card_path, config_path, monkeypatch, capsys, fake_time):
+        monkeypatch.setenv("AUTHLAB_FAKE_TIME", fake_time)
+        code = main(["attack", "--card", str(card_path), "--config", str(config_path), "--trials", "2"])
+        assert code == 2
+        assert "AUTHLAB_FAKE_TIME" in capsys.readouterr().err
+
 
 class TestServeCommand:
     def test_serves_and_shuts_down_on_interrupt(self, tmp_path, card_path, fake_now):
         config = write_config(tmp_path)
-        proc = subprocess.Popen(
+        with subprocess.Popen(
             [sys.executable, "-m", "authlab", "serve", "--config", str(config)],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             text=True,  # AUTHLAB_FAKE_TIME is inherited, pinning both sides
-        )
-        try:
-            line = proc.stdout.readline()
-            address = json.loads(line)["listening"]
-            code = main(["login", "--card", str(card_path), "--server", address, "--password", PW])
-            assert code == 0
-        finally:
-            proc.send_signal(signal.SIGINT)
-            rc = proc.wait(timeout=10)
+        ) as proc:
+            try:
+                line = proc.stdout.readline()
+                address = json.loads(line)["listening"]
+                code = main(["login", "--card", str(card_path), "--server", address, "--password", PW])
+                assert code == 0
+            finally:
+                proc.send_signal(signal.SIGINT)
+                rc = proc.wait(timeout=10)
         assert rc == 0
 
     def test_bind_conflict_exits_4(self, tmp_path, server_secrets, now, capsys):
@@ -277,18 +284,18 @@ def test_help_exits_0(capsys):
 def test_configured_audit_file_receives_lines(tmp_path, card_path, fake_now):
     audit_path = tmp_path / "audit.jsonl"
     config = write_config(tmp_path, audit_path=str(audit_path))
-    proc = subprocess.Popen(
+    with subprocess.Popen(
         [sys.executable, "-m", "authlab", "serve", "--config", str(config)],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
-    )
-    try:
-        address = json.loads(proc.stdout.readline())["listening"]
-        main(["login", "--card", str(card_path), "--server", address, "--password", PW])
-    finally:
-        proc.send_signal(signal.SIGINT)
-        proc.wait(timeout=10)
+    ) as proc:
+        try:
+            address = json.loads(proc.stdout.readline())["listening"]
+            main(["login", "--card", str(card_path), "--server", address, "--password", PW])
+        finally:
+            proc.send_signal(signal.SIGINT)
+            proc.wait(timeout=10)
     lines = [json.loads(line) for line in audit_path.read_text().splitlines()]
     assert len(lines) == 1
     assert lines[0]["decision"] == "accept"

@@ -20,5 +20,6 @@ def test_env_override():
 
 
 def test_env_override_rejects_garbage():
-    with pytest.raises(ValueError, match="AUTHLAB_FAKE_TIME"):
-        clock_from_env({"AUTHLAB_FAKE_TIME": "noon"})
+    for raw in ("noon", "-1", str(1 << 64)):
+        with pytest.raises(ValueError, match="AUTHLAB_FAKE_TIME"):
+            clock_from_env({"AUTHLAB_FAKE_TIME": raw})

@@ -48,6 +48,14 @@ class TestCardFile:
         with pytest.raises(CardFileError, match="format_version"):
             load_card(path)
 
+    def test_boolean_format_version_rejected(self, card_file):
+        path, _ = card_file
+        doc = json.loads(path.read_text())
+        doc["format_version"] = True  # True == 1, the supported version
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CardFileError, match="format_version"):
+            load_card(path)
+
     def test_wrong_width_hex_rejected(self, card_file):
         path, _ = card_file
         doc = json.loads(path.read_text())
@@ -110,6 +118,14 @@ class TestServerConfigFile:
         path = tmp_path / "server.json"
         path.write_text(json.dumps({"x_hex": GOLDEN_X_HEX, "y_hex": GOLDEN_Y_HEX, "window_secs": 0}))
         with pytest.raises(ConfigError, match="window_secs"):
+            load_server_config(path)
+
+    @pytest.mark.parametrize("field", ["window_secs", "skew_secs"])
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_boolean_window_and_skew_rejected(self, tmp_path, field, flag):
+        path = tmp_path / "server.json"
+        path.write_text(json.dumps({"x_hex": GOLDEN_X_HEX, "y_hex": GOLDEN_Y_HEX, field: flag}))
+        with pytest.raises(ConfigError, match=field):
             load_server_config(path)
 
     def test_bad_bind_address_rejected(self, tmp_path):
