@@ -48,7 +48,8 @@ def _emit(obj: dict) -> None:
 def _password(value: str | None, prompt: str) -> bytes:
     if value is None:
         value = getpass.getpass(prompt)
-    return value.encode("utf-8")
+    # argv arrives decoded with surrogateescape; undoing it makes any byte string a password
+    return value.encode("utf-8", "surrogateescape")
 
 
 def _decision_json(decision: AuthDecision) -> dict:
@@ -260,7 +261,11 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         _diag(str(exc))
         return EXIT_BAD_INPUT
-    return args.func(args, clock)
+    try:
+        return args.func(args, clock)
+    except EOFError:  # only the password prompt reads stdin
+        _diag("no password given and stdin is at end of input")
+        return EXIT_BAD_INPUT
 
 
 if __name__ == "__main__":

@@ -62,7 +62,7 @@ def _load_json(path: str | Path, err: type[StorageError]) -> dict:
             doc = json.load(fh)
     except OSError as exc:
         raise err(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, over-long int, deep nesting
         raise err(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise err(f"{path} must contain a JSON object")

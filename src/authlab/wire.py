@@ -15,9 +15,12 @@ password hash, zero-filled on paths that never computed it. Returning the
 recovered hash at all is a lab affordance for observability; a production
 protocol would not reveal it.
 
-Decoding is strict: wrong version, wrong declared length, trailing bytes,
-or an unexpected message type are all rejected. The server answers exactly
-one request per connection and then closes.
+The decoders are strict: given one whole frame, they reject a wrong
+version, a declared length that does not match, trailing bytes, or an
+unexpected message type. The server and the client each read one frame off
+the socket (the header, then the payload it declares), decode it with those
+same functions, and ignore any bytes sent after it. The server answers
+exactly one request per connection and then closes.
 """
 
 from __future__ import annotations
@@ -114,7 +117,11 @@ def encode_login_request(req: LoginRequest) -> bytes:
     return encode_frame(MSG_LOGIN_REQUEST, payload)
 
 
-def _login_request_from_payload(payload: bytes) -> LoginRequest:
+def decode_login_request(data: bytes) -> LoginRequest:
+    """Inverse of encode_login_request; rejects anything else."""
+    msg_type, payload = decode_frame(data)
+    if msg_type != MSG_LOGIN_REQUEST:
+        raise BadTypeError(f"expected LOGIN_REQUEST, got type {msg_type:#04x}")
     body_len = len(payload) - 8
     if body_len <= 0 or body_len % 3:
         raise MalformedFrameError(f"login payload of {len(payload)} bytes has no valid split")
@@ -126,14 +133,6 @@ def _login_request_from_payload(payload: bytes) -> LoginRequest:
     return LoginRequest(cid=cid, n_i=n_i, c_i=c_i, t=t)
 
 
-def decode_login_request(data: bytes) -> LoginRequest:
-    """Inverse of encode_login_request; rejects anything else."""
-    msg_type, payload = decode_frame(data)
-    if msg_type != MSG_LOGIN_REQUEST:
-        raise BadTypeError(f"expected LOGIN_REQUEST, got type {msg_type:#04x}")
-    return _login_request_from_payload(payload)
-
-
 def encode_auth_response(decision: AuthDecision, width: int) -> bytes:
     if decision.recovered_hpw is not None:
         recovered = decision.recovered_hpw
@@ -142,7 +141,11 @@ def encode_auth_response(decision: AuthDecision, width: int) -> bytes:
     return encode_frame(MSG_AUTH_RESPONSE, bytes([STATUS_BY_REASON[decision.reason]]) + recovered)
 
 
-def _decision_from_response(msg_type: int, payload: bytes) -> AuthDecision:
+def decode_auth_response(data: bytes) -> AuthDecision:
+    try:
+        msg_type, payload = decode_frame(data)
+    except MalformedFrameError as exc:
+        raise MalformedResponseError(str(exc)) from exc
     if msg_type != MSG_AUTH_RESPONSE:
         raise MalformedResponseError(f"expected AUTH_RESPONSE, got type {msg_type:#04x}")
     if len(payload) < 2:
@@ -153,14 +156,6 @@ def _decision_from_response(msg_type: int, payload: bytes) -> AuthDecision:
     reason = REASON_BY_STATUS[status]
     recovered = Bits(payload[1:]) if reason in (Reason.OK, Reason.CHECK_FAILED) else None
     return AuthDecision(accepted=status == 0x00, reason=reason, recovered_hpw=recovered)
-
-
-def decode_auth_response(data: bytes) -> AuthDecision:
-    try:
-        msg_type, payload = decode_frame(data)
-    except MalformedFrameError as exc:
-        raise MalformedResponseError(str(exc)) from exc
-    return _decision_from_response(msg_type, payload)
 
 
 def _recv_exact(conn: socket.socket, n: int) -> bytes:
@@ -175,9 +170,11 @@ def _recv_exact(conn: socket.socket, n: int) -> bytes:
     return b"".join(chunks)
 
 
-def _recv_frame(conn: socket.socket) -> tuple[int, bytes]:
-    msg_type, payload_len = _parse_header(_recv_exact(conn, _HEADER.size))
-    return msg_type, _recv_exact(conn, payload_len)
+def _recv_frame(conn: socket.socket) -> bytes:
+    """One whole frame: the header, checked before the payload it declares is read."""
+    header = _recv_exact(conn, _HEADER.size)
+    _, payload_len = _parse_header(header)
+    return header + _recv_exact(conn, payload_len)
 
 
 class _LoginHandler(socketserver.BaseRequestHandler):
@@ -189,16 +186,11 @@ class _LoginHandler(socketserver.BaseRequestHandler):
         conn.settimeout(srv.io_timeout)
         peer = "%s:%s" % self.client_address[:2]
         try:
-            msg_type, payload = _recv_frame(conn)
-        except (MalformedFrameError, OSError):
-            srv.audit(peer, None, "reject", "MALFORMED_FRAME")
-            return
-        if msg_type != MSG_LOGIN_REQUEST:
+            req = decode_login_request(_recv_frame(conn))
+        except BadTypeError:
             srv.audit(peer, None, "reject", "BAD_TYPE")
             return
-        try:
-            req = _login_request_from_payload(payload)
-        except (MalformedFrameError, ValueError):
+        except (MalformedFrameError, OSError, ValueError):
             srv.audit(peer, None, "reject", "MALFORMED_FRAME")
             return
         decision = srv.config.authenticate(req, srv.clock())
@@ -249,9 +241,6 @@ class AuthServer(socketserver.ThreadingTCPServer):
             self._thread.join()
             self._thread = None
         self.server_close()
-
-    def __enter__(self) -> "AuthServer":
-        return self
 
     def __exit__(self, *exc_info) -> None:
         self.close()
@@ -317,7 +306,7 @@ def client_login(
         except OSError as exc:
             raise ConnectionFailedError(f"send failed: {exc}") from exc
         try:
-            msg_type, payload = _recv_frame(conn)
+            frame = _recv_frame(conn)
         except (MalformedFrameError, OSError) as exc:
             raise MalformedResponseError(f"no valid response: {exc}") from exc
-    return _decision_from_response(msg_type, payload)
+    return decode_auth_response(frame)

@@ -1,3 +1,4 @@
+import getpass
 import io
 import json
 import signal
@@ -88,6 +89,26 @@ class TestRegister:
         assert code == 2
         assert out == ""
         assert "bad server config" in err
+
+    def test_non_utf8_password_argument_is_taken_as_raw_bytes(self, tmp_path, config_path, server_secrets):
+        out_path = tmp_path / "c.card"
+        argv = [sys.executable, "-m", "authlab", "register", "--config", str(config_path), "--out", str(out_path)]
+        proc = subprocess.run([*argv, "--password", b"\xff"], capture_output=True)
+        assert proc.returncode == 0, proc.stderr
+        assert load_card(out_path) == issue_card(b"\xff", server_secrets)
+
+    def test_prompt_at_end_of_stdin_exits_2(self, tmp_path, config_path, monkeypatch, capsys):
+        def eof(prompt):
+            raise EOFError
+
+        monkeypatch.setattr(getpass, "getpass", eof)
+        out_path = tmp_path / "c.card"
+        code = main(["register", "--config", str(config_path), "--out", str(out_path)])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert "stdin" in err
+        assert not out_path.exists()
 
     def test_unwritable_out_exits_3(self, tmp_path, config_path, capsys):
         missing_dir = tmp_path / "no" / "such" / "dir" / "c.card"
@@ -229,6 +250,15 @@ class TestAttack:
         code = main(["attack", "--card", str(card_path), "--config", str(bad)])
         assert code == 2
         capsys.readouterr()
+
+    def test_undecodable_card_file_exits_2(self, tmp_path, config_path, capsys):
+        card = tmp_path / "deep.card"
+        card.write_bytes(b"[" * 100_000)
+        code = main(["attack", "--card", str(card), "--config", str(config_path), "--trials", "2"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert "not valid JSON" in err
 
     @pytest.mark.parametrize("fake_time", ["-1", str(1 << 64)])
     def test_out_of_range_fake_time_exits_2(self, card_path, config_path, monkeypatch, capsys, fake_time):

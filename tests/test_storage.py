@@ -15,6 +15,13 @@ from authlab import (
 )
 from authlab.storage import parse_address
 
+# each once escaped the JSON loader as a traceback rather than a StorageError
+UNLOADABLE_JSON = {
+    "not_utf8": b'{"k": "\xff"}',
+    "nested_past_recursion_limit": b"[" * 100_000,
+    "int_over_4300_digits": b'{"k": ' + b"1" * 5000 + b"}",
+}
+
 
 @pytest.fixture
 def card_file(tmp_path, server_secrets):
@@ -76,6 +83,13 @@ class TestCardFile:
         with pytest.raises(CardFileError):
             load_card(tmp_path / "absent.card")
 
+    @pytest.mark.parametrize("raw", UNLOADABLE_JSON.values(), ids=UNLOADABLE_JSON.keys())
+    def test_unloadable_json_rejected(self, tmp_path, raw):
+        path = tmp_path / "user.card"
+        path.write_bytes(raw)
+        with pytest.raises(CardFileError, match="not valid JSON"):
+            load_card(path)
+
     def test_hash_id_must_match_width(self, card_file):
         path, _ = card_file
         doc = json.loads(path.read_text())
@@ -126,6 +140,13 @@ class TestServerConfigFile:
         path = tmp_path / "server.json"
         path.write_text(json.dumps({"x_hex": GOLDEN_X_HEX, "y_hex": GOLDEN_Y_HEX, field: flag}))
         with pytest.raises(ConfigError, match=field):
+            load_server_config(path)
+
+    @pytest.mark.parametrize("raw", UNLOADABLE_JSON.values(), ids=UNLOADABLE_JSON.keys())
+    def test_unloadable_json_rejected(self, tmp_path, raw):
+        path = tmp_path / "server.json"
+        path.write_bytes(raw)
+        with pytest.raises(ConfigError, match="not valid JSON"):
             load_server_config(path)
 
     def test_bad_bind_address_rejected(self, tmp_path):

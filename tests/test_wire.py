@@ -10,6 +10,7 @@ import oracle
 from conftest import GOLDEN_PW, as_int, random_bits
 from authlab import (
     AuthDecision,
+    Bits,
     LoginRequest,
     Reason,
     ServerConfig,
@@ -154,6 +155,18 @@ def live_server(server_secrets, now, audit):
         yield srv
 
 
+def in_process_verdict(config: ServerConfig, frame: bytes, now: int) -> tuple[str, bytes]:
+    """Audit reason and reply bytes (b"" for none) the server owes `frame`."""
+    try:
+        req = decode_login_request(frame)
+    except BadTypeError:
+        return "BAD_TYPE", b""
+    except MalformedFrameError:
+        return "MALFORMED_FRAME", b""
+    decision = config.authenticate(req, now)
+    return decision.reason.value, encode_auth_response(decision, config.secrets.y.width)
+
+
 class TestServer:
     def test_honest_client_accepted(self, live_server, card, now):
         decision = client_login(live_server.address, card, GOLDEN_PW, fixed_clock(now))
@@ -213,6 +226,33 @@ class TestServer:
                 conn.shutdown(socket.SHUT_WR)
                 conn.recv(64)
         assert client_login(live_server.address, card, GOLDEN_PW, fixed_clock(now)).accepted
+
+    def test_verdict_equals_in_process_decoder(self, live_server, card, now, audit):
+        honest = encode_login_request(make_login_request(card, GOLDEN_PW, now))
+        narrow = LoginRequest(cid=Bits(bytes(8)), n_i=Bits(bytes(8)), c_i=Bits(bytes(8)), t=now)
+        # (frame the decoder judges, bytes sent after it, reason the frame's kind implies)
+        cases = [
+            (honest[:1] + b"\x02" + honest[2:], b"", "MALFORMED_FRAME"),  # bad version
+            (honest[:2] + (4097).to_bytes(4, "big") + honest[6:], b"", "MALFORMED_FRAME"),
+            (honest[:-1], b"", "MALFORMED_FRAME"),  # truncated payload
+            (honest[:2] + (105).to_bytes(4, "big") + honest[6:] + b"\x00", b"", "MALFORMED_FRAME"),
+            (bytes([MSG_AUTH_RESPONSE]) + honest[1:], b"", "BAD_TYPE"),
+            (encode_login_request(narrow), b"", "CHECK_FAILED"),
+            (encode_login_request(make_login_request(card, GOLDEN_PW, now - 120)), b"", "STALE_TIMESTAMP"),
+            (honest, b"junk after the frame", "OK"),  # one frame is read, the rest ignored
+        ]
+        for frame, after, reason in cases:
+            with socket.create_connection(live_server.address, timeout=5) as conn:
+                conn.sendall(frame + after)
+                conn.shutdown(socket.SHUT_WR)
+                reply = b""
+                while chunk := conn.recv(4096):
+                    reply += chunk
+            audited = json.loads(audit.getvalue().splitlines()[-1])["reason"]
+            assert (audited, reply) == in_process_verdict(live_server.config, frame, now)
+            assert audited == reason
+        with pytest.raises(MalformedFrameError):
+            decode_login_request(honest + b"junk after the frame")
 
     def test_connection_refused(self, card, now):
         with socket.socket() as probe:
