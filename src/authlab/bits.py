@@ -39,6 +39,9 @@ class Bits(bytes):
     def from_hex(cls, text: str) -> Bits:
         return cls(bytes.fromhex(text))
 
+    def __repr__(self) -> str:
+        return f"Bits.from_hex({self.hex()!r})"
+
     def __xor__(self, other: Bits) -> Bits:
         if not isinstance(other, Bits):
             return NotImplemented

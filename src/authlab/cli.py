@@ -21,7 +21,6 @@ from authlab.protocol import AuthDecision, change_password, issue_card, make_log
 from authlab.storage import (
     CardFileError,
     ConfigError,
-    StorageError,
     load_card,
     load_server_config,
     parse_address,
@@ -68,11 +67,7 @@ def _positive_int(text: str) -> int:
 
 
 def cmd_register(args: argparse.Namespace, clock: Clock) -> int:
-    try:
-        config = load_server_config(args.config)
-    except ConfigError as exc:
-        _diag(f"bad server config: {exc}")
-        return EXIT_BAD_INPUT
+    config = load_server_config(args.config)
     pw = _password(args.password, "Password for new user: ")
     card = issue_card(pw, config.secrets, config.hash_id)
     try:
@@ -85,12 +80,7 @@ def cmd_register(args: argparse.Namespace, clock: Clock) -> int:
 
 
 def cmd_serve(args: argparse.Namespace, clock: Clock) -> int:
-    try:
-        config = load_server_config(args.config)
-    except ConfigError as exc:
-        _diag(f"bad server config: {exc}")
-        return EXIT_BAD_INPUT
-
+    config = load_server_config(args.config)
     audit_file = None
     if config.audit_path is not None:
         try:
@@ -122,11 +112,7 @@ def cmd_serve(args: argparse.Namespace, clock: Clock) -> int:
 
 
 def cmd_login(args: argparse.Namespace, clock: Clock) -> int:
-    try:
-        card = load_card(args.card)
-    except CardFileError as exc:
-        _diag(f"bad card file: {exc}")
-        return EXIT_BAD_INPUT
+    card = load_card(args.card)
     try:
         address = parse_address(args.server)
     except ValueError as exc:
@@ -143,11 +129,7 @@ def cmd_login(args: argparse.Namespace, clock: Clock) -> int:
 
 
 def cmd_change_password(args: argparse.Namespace, clock: Clock) -> int:
-    try:
-        card = load_card(args.card)
-    except CardFileError as exc:
-        _diag(f"bad card file: {exc}")
-        return EXIT_BAD_INPUT
+    card = load_card(args.card)
     old_pw = _password(args.old_password, "Current password: ")
     new_pw = _password(args.new_password, "New password: ")
     updated = change_password(card, old_pw, new_pw)
@@ -161,13 +143,8 @@ def cmd_change_password(args: argparse.Namespace, clock: Clock) -> int:
 
 
 def cmd_attack(args: argparse.Namespace, clock: Clock) -> int:
-    try:
-        card = load_card(args.card)
-        config = load_server_config(args.config)
-    except StorageError as exc:
-        _diag(str(exc))
-        return EXIT_BAD_INPUT
-
+    card = load_card(args.card)
+    config = load_server_config(args.config)
     if args.remote is None:
 
         def submit(c, pw, t):
@@ -190,7 +167,7 @@ def cmd_attack(args: argparse.Namespace, clock: Clock) -> int:
         )
     except WireError as exc:
         _diag(f"remote attack failed: {exc}")
-        return EXIT_BAD_INPUT
+        return EXIT_CONNECTION_FAILURE
     print(report.to_json(), flush=True)
     return EXIT_OK if report.acceptance_rate == 1.0 else EXIT_REJECTED
 
@@ -265,6 +242,12 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args, clock)
     except EOFError:  # only the password prompt reads stdin
         _diag("no password given and stdin is at end of input")
+        return EXIT_BAD_INPUT
+    except ConfigError as exc:
+        _diag(f"bad server config: {exc}")
+        return EXIT_BAD_INPUT
+    except CardFileError as exc:
+        _diag(f"bad card file: {exc}")
         return EXIT_BAD_INPUT
 
 

@@ -83,7 +83,7 @@ class SmartcardState:
     def __post_init__(self) -> None:
         if self.n_i.width != self.k or self.y.width != self.k:
             raise ValueError(
-                f"card fields must be {self.k} bits: n_i={self.n_i.width}, y={self.y.width}"
+                f"card fields must be k={self.k} bits: n_i={self.n_i.width}, y={self.y.width}"
             )
         if hash_width(self.hash_id) != self.k:
             raise ValueError(f"hash {self.hash_id!r} does not produce {self.k}-bit output")

@@ -94,10 +94,6 @@ def load_card(path: str | Path) -> SmartcardState:
         raise CardFileError("card file needs string hash_id and integer k")
     n_i = _decode_hex_field(doc.get("n_i"), "n_i", CardFileError)
     y = _decode_hex_field(doc.get("y"), "y", CardFileError)
-    if n_i.width != k or y.width != k:
-        raise CardFileError(
-            f"hex fields must decode to k={k} bits, got n_i={n_i.width}, y={y.width}"
-        )
     try:
         return SmartcardState(n_i=n_i, y=y, hash_id=hash_id, k=k)
     except ValueError as exc:
@@ -115,6 +111,18 @@ class ServerConfig:
     skew_secs: int = DEFAULT_SKEW_SECS
     hash_id: str = DEFAULT_HASH_ID
     audit_path: str | None = None
+
+    def __post_init__(self) -> None:
+        # type() rather than isinstance(): bool is an int subclass, and true/false are not seconds.
+        if type(self.window_secs) is not int or self.window_secs <= 0:
+            raise ValueError(f"window_secs must be a positive integer, got {self.window_secs!r}")
+        if type(self.skew_secs) is not int or self.skew_secs < 0:
+            raise ValueError(f"skew_secs must be a non-negative integer, got {self.skew_secs!r}")
+        width = hash_width(self.hash_id)  # raises ValueError on an unknown or non-string id
+        if width != self.secrets.y.width:
+            raise ValueError(f"hash {self.hash_id!r} produces {width} bits, secrets are {self.secrets.y.width}")
+        if self.audit_path is not None and not isinstance(self.audit_path, str):
+            raise ValueError("audit_path must be a string or null")
 
     def authenticate(self, req: LoginRequest, t_star: int) -> AuthDecision:
         """The server step under this policy, evaluated at receipt time t_star."""
@@ -138,46 +146,20 @@ def load_server_config(path: str | Path) -> ServerConfig:
     x = _decode_hex_field(doc.get("x_hex"), "x_hex", ConfigError)
     y = _decode_hex_field(doc.get("y_hex"), "y_hex", ConfigError)
     try:
-        secrets = ServerSecrets(x=x, y=y)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-    hash_id = doc.get("hash_id", DEFAULT_HASH_ID)
-    if not isinstance(hash_id, str):
-        raise ConfigError("hash_id must be a string")
-    try:
-        if hash_width(hash_id) != y.width:
-            raise ConfigError(
-                f"hash {hash_id!r} produces {hash_width(hash_id)} bits, secrets are {y.width}"
-            )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-    try:
         bind_address = parse_address(doc.get("bind_address", "127.0.0.1:0"))
     except (TypeError, ValueError, AttributeError) as exc:
         raise ConfigError(f"bad bind_address: {exc}") from exc
-
-    window_secs = doc.get("window_secs", DEFAULT_WINDOW_SECS)
-    skew_secs = doc.get("skew_secs", DEFAULT_SKEW_SECS)
-    # type() rather than isinstance(): bool is an int subclass, and true/false are not seconds.
-    if type(window_secs) is not int or window_secs <= 0:
-        raise ConfigError(f"window_secs must be a positive integer, got {window_secs!r}")
-    if type(skew_secs) is not int or skew_secs < 0:
-        raise ConfigError(f"skew_secs must be a non-negative integer, got {skew_secs!r}")
-
-    audit_path = doc.get("audit_path")
-    if audit_path is not None and not isinstance(audit_path, str):
-        raise ConfigError("audit_path must be a string or null")
-
-    return ServerConfig(
-        secrets=secrets,
-        bind_address=bind_address,
-        window_secs=window_secs,
-        skew_secs=skew_secs,
-        hash_id=hash_id,
-        audit_path=audit_path,
-    )
+    try:
+        return ServerConfig(
+            secrets=ServerSecrets(x=x, y=y),
+            bind_address=bind_address,
+            window_secs=doc.get("window_secs", DEFAULT_WINDOW_SECS),
+            skew_secs=doc.get("skew_secs", DEFAULT_SKEW_SECS),
+            hash_id=doc.get("hash_id", DEFAULT_HASH_ID),
+            audit_path=doc.get("audit_path"),
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def save_server_config(path: str | Path, config: ServerConfig) -> None:

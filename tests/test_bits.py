@@ -42,6 +42,13 @@ def test_hex_round_trip():
         assert b.hex() == b.hex().lower()
 
 
+@pytest.mark.parametrize("width", [64, 256, 512])
+def test_repr_is_hex_and_evaluates_back(width):
+    b = Bits(random.Random(width).randbytes(width // 8))
+    assert repr(b) == f"Bits.from_hex('{b.hex()}')"
+    assert eval(repr(b), {"Bits": Bits}) == b
+
+
 # 64 is the narrowest usable width; 256 and 512 are sha256 and sha512
 XOR_WIDTHS = (64, 256, 512)
 

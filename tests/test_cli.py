@@ -241,7 +241,7 @@ class TestAttack:
             "attack", "--card", str(card_path), "--config", str(config_path),
             "--trials", "2", "--remote", "127.0.0.1:1",
         ])
-        assert code == 2
+        assert code == 5
         assert "remote attack failed" in capsys.readouterr().err
 
     def test_bad_config_exits_2(self, card_path, tmp_path, capsys):

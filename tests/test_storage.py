@@ -22,6 +22,16 @@ UNLOADABLE_JSON = {
     "int_over_4300_digits": b'{"k": ' + b"1" * 5000 + b"}",
 }
 
+# (field, value, word the message names it by): each once passed a ServerConfig built in code
+BAD_POLICY = {
+    "sha512_on_256_bit_secrets": ("hash_id", "sha512", "hash"),
+    "unknown_hash": ("hash_id", "nope", "hash"),
+    "zero_window": ("window_secs", 0, "window_secs"),
+    "boolean_window": ("window_secs", True, "window_secs"),
+    "negative_skew": ("skew_secs", -1, "skew_secs"),
+    "non_string_audit_path": ("audit_path", 3, "audit_path"),
+}
+
 
 @pytest.fixture
 def card_file(tmp_path, server_secrets):
@@ -154,6 +164,16 @@ class TestServerConfigFile:
         path.write_text(json.dumps({"x_hex": GOLDEN_X_HEX, "y_hex": GOLDEN_Y_HEX, "bind_address": "nope"}))
         with pytest.raises(ConfigError, match="bind_address"):
             load_server_config(path)
+
+    @pytest.mark.parametrize("field, value, named", BAD_POLICY.values(), ids=BAD_POLICY.keys())
+    def test_policy_built_in_code_checked_like_file(self, tmp_path, server_secrets, field, value, named):
+        with pytest.raises(ValueError, match=named) as built:
+            ServerConfig(server_secrets, ("127.0.0.1", 0), **{field: value})
+        path = tmp_path / "server.json"
+        path.write_text(json.dumps({"x_hex": GOLDEN_X_HEX, "y_hex": GOLDEN_Y_HEX, field: value}))
+        with pytest.raises(ConfigError) as loaded:
+            load_server_config(path)
+        assert str(loaded.value) == str(built.value)
 
 
 def test_parse_address():
