@@ -9,7 +9,8 @@ match inside a freshness window. Password change rewrites the registration
 value in place.
 
 Everything here is deterministic and side-effect free; this module has no
-opinion about transport, persistence, or clocks.
+opinion about transport, persistence, or clocks. Login and authentication
+compute on ints and emit big-endian k-bit bytes.
 
 A property worth stating up front because the whole attack harness rests on
 it: the server's check cancels the typed password out algebraically, so
@@ -19,18 +20,13 @@ faithful to the scheme under study, not an implementation bug.
 
 from __future__ import annotations
 
+import hashlib
 import hmac
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
-from authlab.bits import (
-    DEFAULT_HASH_ID,
-    Bits,
-    embed_timestamp,
-    hash_bytes,
-    hash_width,
-)
+from authlab.bits import DEFAULT_HASH_ID, MIN_WIDTH, Bits, hash_bytes, hash_width
 
 Password = bytes
 
@@ -99,15 +95,11 @@ class LoginRequest:
     t: int
 
     def __post_init__(self) -> None:
-        widths = {self.cid.width, self.n_i.width, self.c_i.width}
-        if len(widths) != 1:
+        if not len(self.cid) == len(self.n_i) == len(self.c_i):
+            widths = {self.cid.width, self.n_i.width, self.c_i.width}
             raise ValueError(f"request fields must share one width, got {sorted(widths)}")
         if not 0 <= self.t <= MAX_TIMESTAMP:
             raise ValueError(f"timestamp out of 64-bit range: {self.t}")
-
-    @property
-    def width(self) -> int:
-        return self.cid.width
 
 
 @dataclass(frozen=True)
@@ -156,20 +148,32 @@ class LoginDerivation(NamedTuple):
     check: Bits
 
 
-def derive_login_values(card: SmartcardState, typed_pw: Password, t: int) -> LoginDerivation:
-    """Card-side login derivation, with hpw = h(typed_pw) and tb the embedded
-    timestamp:
+def _h(v: int, hash_id: str, n: int) -> int:
+    """h() of the n-byte big-endian value v, as an int."""
+    digest = hashlib.new(hash_id, v.to_bytes(n, "big")).digest()
+    if len(digest) != n:
+        raise ValueError(f"width mismatch: {hash_id} gives {len(digest) * 8} bits, not {n * 8}")
+    return int.from_bytes(digest, "big")
 
-        cid     = hpw xor h(n_i xor y xor tb)
+
+def derive_login_values(card: SmartcardState, typed_pw: Password, t: int) -> LoginDerivation:
+    """Card-side login derivation, with hpw = h(typed_pw) and t as a k-bit value:
+
+        cid     = hpw xor h(n_i xor y xor t)
         binding = h(cid xor hpw)
-        check   = h(tb xor n_i xor binding xor y)
+        check   = h(t xor n_i xor binding xor y)
     """
-    hpw = hash_bytes(typed_pw, card.hash_id)
-    tb = embed_timestamp(t, card.k)
-    cid = hpw ^ hash_bytes(card.n_i ^ card.y ^ tb, card.hash_id)
-    binding = hash_bytes(cid ^ hpw, card.hash_id)
-    check = hash_bytes(tb ^ card.n_i ^ binding ^ card.y, card.hash_id)
-    return LoginDerivation(hpw=hpw, cid=cid, binding=binding, check=check)
+    if not 0 <= t <= MAX_TIMESTAMP:
+        raise ValueError(f"timestamp out of 64-bit range: {t}")
+    hash_id, n = card.hash_id, card.k // 8
+    if not len(card.n_i) == len(card.y) == n:
+        raise ValueError(f"width mismatch: card fields must be k={card.k} bits")
+    n_y = int.from_bytes(card.n_i, "big") ^ int.from_bytes(card.y, "big")
+    hpw = int.from_bytes(hashlib.new(hash_id, typed_pw).digest(), "big")
+    cid = hpw ^ _h(n_y ^ t, hash_id, n)
+    binding = _h(cid ^ hpw, hash_id, n)
+    check = _h(t ^ n_y ^ binding, hash_id, n)
+    return LoginDerivation(*(Bits(v.to_bytes(n, "big")) for v in (hpw, cid, binding, check)))
 
 
 def make_login_request(card: SmartcardState, typed_pw: Password, t: int) -> LoginRequest:
@@ -205,21 +209,21 @@ def authenticate(
     """
     if window_secs <= 0:
         raise ValueError(f"window_secs must be positive, got {window_secs}")
-    if req.width != secrets.y.width:
+    n = len(secrets.y)
+    if len(req.cid) != n:
         return AuthDecision(accepted=False, reason=Reason.CHECK_FAILED)
     if t_star - req.t > window_secs:
         return AuthDecision(accepted=False, reason=Reason.STALE_TIMESTAMP)
     if req.t - t_star > skew_secs:
         return AuthDecision(accepted=False, reason=Reason.FUTURE_TIMESTAMP)
-
-    tb = embed_timestamp(req.t, secrets.y.width)
-    recovered_hpw = req.cid ^ hash_bytes(req.n_i ^ secrets.y ^ tb, hash_id)
-    b = hash_bytes(req.cid ^ recovered_hpw, hash_id)
-    expected_c = hash_bytes(tb ^ req.n_i ^ b ^ secrets.y, hash_id)
-
-    if hmac.compare_digest(expected_c, req.c_i):
-        return AuthDecision(accepted=True, reason=Reason.OK, recovered_hpw=recovered_hpw)
-    return AuthDecision(accepted=False, reason=Reason.CHECK_FAILED, recovered_hpw=recovered_hpw)
+    if n * 8 < MIN_WIDTH:
+        raise ValueError(f"width must be at least {MIN_WIDTH} bits, got {n * 8}")
+    cid = int.from_bytes(req.cid, "big")
+    n_y = int.from_bytes(req.n_i, "big") ^ int.from_bytes(secrets.y, "big")
+    recovered_hpw = cid ^ _h(n_y ^ req.t, hash_id, n)
+    b = _h(cid ^ recovered_hpw, hash_id, n)
+    ok = hmac.compare_digest(_h(req.t ^ n_y ^ b, hash_id, n).to_bytes(n, "big"), req.c_i)
+    return AuthDecision(ok, Reason.OK if ok else Reason.CHECK_FAILED, Bits(recovered_hpw.to_bytes(n, "big")))
 
 
 def change_password(card: SmartcardState, typed_old_pw: Password, new_pw: Password) -> SmartcardState:

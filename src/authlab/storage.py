@@ -100,6 +100,13 @@ def load_card(path: str | Path) -> SmartcardState:
         raise CardFileError(str(exc)) from exc
 
 
+def _check_port(port: int) -> int:
+    """The one port rule, shared by parse_address and ServerConfig."""
+    if not 0 <= port <= 65535:
+        raise ValueError(f"port must be in 0..65535, got {port}")
+    return port
+
+
 @dataclass(frozen=True)
 class ServerConfig:
     """The server's whole policy: secrets, freshness window, skew and hash,
@@ -123,6 +130,7 @@ class ServerConfig:
             raise ValueError(f"hash {self.hash_id!r} produces {width} bits, secrets are {self.secrets.y.width}")
         if self.audit_path is not None and not isinstance(self.audit_path, str):
             raise ValueError("audit_path must be a string or null")
+        _check_port(self.bind_address[1])
 
     def authenticate(self, req: LoginRequest, t_star: int) -> AuthDecision:
         """The server step under this policy, evaluated at receipt time t_star."""
@@ -135,10 +143,7 @@ def parse_address(text: str) -> tuple[str, int]:
     host, sep, port_text = text.rpartition(":")
     if not sep or not host:
         raise ValueError(f"address must be host:port, got {text!r}")
-    port = int(port_text)
-    if not 0 <= port <= 65535:
-        raise ValueError(f"port must be in 0..65535, got {port}")
-    return host, port
+    return host, _check_port(int(port_text))
 
 
 def load_server_config(path: str | Path) -> ServerConfig:

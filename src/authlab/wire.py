@@ -125,19 +125,15 @@ def decode_login_request(data: bytes) -> LoginRequest:
     body_len = len(payload) - 8
     if body_len <= 0 or body_len % 3:
         raise MalformedFrameError(f"login payload of {len(payload)} bytes has no valid split")
-    nbytes = body_len // 3
-    if nbytes < 8:
-        raise MalformedFrameError(f"field width {nbytes * 8} bits below 64-bit minimum")
-    cid, n_i, c_i = (Bits(payload[i * nbytes : (i + 1) * nbytes]) for i in range(3))
-    t = int.from_bytes(payload[3 * nbytes :], "big")
-    return LoginRequest(cid=cid, n_i=n_i, c_i=c_i, t=t)
+    n = body_len // 3
+    if n < 8:
+        raise MalformedFrameError(f"field width {n * 8} bits below 64-bit minimum")
+    cid, n_i, c_i, t = payload[:n], payload[n : 2 * n], payload[2 * n : 3 * n], payload[3 * n :]
+    return LoginRequest(cid=Bits(cid), n_i=Bits(n_i), c_i=Bits(c_i), t=int.from_bytes(t, "big"))
 
 
 def encode_auth_response(decision: AuthDecision, width: int) -> bytes:
-    if decision.recovered_hpw is not None:
-        recovered = decision.recovered_hpw
-    else:
-        recovered = bytes(width // 8)
+    recovered = decision.recovered_hpw or bytes(width // 8)  # a Bits value is never empty
     return encode_frame(MSG_AUTH_RESPONSE, bytes([STATUS_BY_REASON[decision.reason]]) + recovered)
 
 

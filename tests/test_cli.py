@@ -236,7 +236,7 @@ class TestAttack:
         assert code == 0
         assert json.loads(out)["acceptance_rate"] == 1.0
 
-    def test_remote_mode_unreachable_exits_2(self, card_path, config_path, fake_now, capsys):
+    def test_remote_mode_unreachable_exits_5(self, card_path, config_path, fake_now, capsys):
         code = main([
             "attack", "--card", str(card_path), "--config", str(config_path),
             "--trials", "2", "--remote", "127.0.0.1:1",

@@ -26,6 +26,29 @@ GOLDEN_HPW = "cefd4bcd86ca3d6d9d1064593870b4cd4fdb3fef0136b1c43684cb7f58a29036"
 GOLDEN_CID = "171c7b96c42eeb9735243218a171550f55841429a2a502bd0c7391dda9cda38d"
 GOLDEN_C_I = "fddc8939161a8e19384fead46edea492fb062b11137f384c80166265757e7bdd"
 
+# SHA-512 at 512 bits: GOLDEN_PW at GOLDEN_T under these secrets, frozen from the
+# protocol code as it stood when every phase still computed on Bits values
+GOLDEN_512_X_HEX = (
+    "1a96716c7e6a98d45b6dfb355fa821f97b30e9a3fef1dfe360a7e6413305acf8"
+    "331b38aefec4fc1e9760787ad8bf8acea7a2f74e3ea6cc7b6b8dc7a4b56ad189"
+)
+GOLDEN_512_Y_HEX = (
+    "be662d12aed29642f7f5ef66e3198b03ee3f8782390c2c0f5b9b27f9ccb460f2"
+    "6e12d49eb73243df5ddef30180c71546fac5e2608fbb83aa295122805537b3ee"
+)
+GOLDEN_512_CID = (
+    "62d2ca1410c2169262a7ffbc78435b970e9749ff0c83c0a7c561ed587dbafe81"
+    "f3e7ce5f1d61db40d1064c281b458475ad6c3d09cb55afe98f9487a5e5f9c08b"
+)
+GOLDEN_512_C_I = (
+    "967e7d43444461b6dcb8a1a20cdd87c1e4dca2fe04e7058e72e4058fda3a5e41"
+    "5084ce6b0de6b01abecbe2fc4e3df5cf9771b4ca0fefadae75e9a3b55926cda0"
+)
+GOLDEN_512_HPW = (
+    "4cc70834a631b893732410903200747a3f6feaaeea15456cd0b2ce18fb2a5f33"
+    "f802280d9bf3bdff9cc7eaebb95f4bf7b6e276ee0107192c1d94f9758c1d7367"
+)
+
 
 def random_secrets(rng: random.Random) -> ServerSecrets:
     return ServerSecrets(x=random_bits(rng), y=random_bits(rng))
@@ -80,8 +103,42 @@ class TestLoginRequest:
         with pytest.raises(ValueError):
             LoginRequest(cid=Bits(b"\x00" * 32), n_i=Bits(b"\x00" * 32), c_i=Bits(b"\x00" * 32), t=-1)
 
+    def test_timestamp_outside_64_bits_rejected(self, card):
+        for t in (-1, 1 << 64):
+            with pytest.raises(ValueError):
+                make_login_request(card, GOLDEN_PW, t)
+
+    def test_card_field_reassigned_to_another_width_rejected(self, card, now):
+        for field in ("n_i", "y"):
+            for width in (128, 512):
+                bad = replace(card)
+                setattr(bad, field, Bits(bytes(width // 8)))
+                with pytest.raises(ValueError):
+                    derive_login_values(bad, GOLDEN_PW, now)
+
 
 class TestAuthenticate:
+    def test_sha512_golden_login(self, now):
+        secrets = ServerSecrets(x=Bits.from_hex(GOLDEN_512_X_HEX), y=Bits.from_hex(GOLDEN_512_Y_HEX))
+        req = make_login_request(issue_card(GOLDEN_PW, secrets, "sha512"), GOLDEN_PW, now)
+        assert (req.cid.hex(), req.c_i.hex()) == (GOLDEN_512_CID, GOLDEN_512_C_I)
+        decision = authenticate(secrets, req, t_star=now, hash_id="sha512")
+        assert decision.accepted
+        assert decision.recovered_hpw.hex() == GOLDEN_512_HPW
+
+    def test_width_below_64_bits_raises(self, now):
+        secrets = ServerSecrets(x=Bits(b"\x01" * 4), y=Bits(b"\x02" * 4))
+        short = Bits(b"\xaa" * 4)
+        for t in (now, 1 << 40):  # the second does not fit in 32 bits
+            with pytest.raises(ValueError, match="at least 64"):
+                authenticate(secrets, LoginRequest(cid=short, n_i=short, c_i=short, t=t), t_star=t)
+
+    def test_hash_of_another_width_raises(self, card, server_secrets, now):
+        req = make_login_request(card, GOLDEN_PW, now)
+        for hash_id in ("sha512", "sha224"):
+            with pytest.raises(ValueError):
+                authenticate(server_secrets, req, t_star=now, hash_id=hash_id)
+
     def test_honest_login_accepts(self, card, server_secrets, now):
         req = make_login_request(card, GOLDEN_PW, now)
         decision = authenticate(server_secrets, req, t_star=now + 3)
@@ -231,6 +288,33 @@ class TestOracleEquivalence:
             assert as_int(decision.recovered_hpw) == srv["recovered_hpw"]
             assert srv["b_i"] == ref["b_i"]
             assert srv["expected_c_i"] == ref["c_i"]
+
+    def test_sha512_intermediates_match_oracle(self):
+        rng = random.Random(16)
+        ref_params = {"hash_id": "sha512", "width": 512}
+        for _ in range(10):
+            pw = rng.randbytes(rng.randint(0, 48))
+            secrets = ServerSecrets(x=random_bits(rng, 512), y=random_bits(rng, 512))
+            t = rng.randrange(0, 1 << 40)
+
+            n_ref = oracle.registration_value(pw, as_int(secrets.x), **ref_params)
+            card = issue_card(pw, secrets, "sha512")
+            assert as_int(card.n_i) == n_ref
+
+            ref = oracle.login_values(pw, n_ref, as_int(secrets.y), t, **ref_params)
+            derived = derive_login_values(card, pw, t)
+            assert [as_int(v) for v in derived] == [ref["hpw"], ref["cid"], ref["b_i"], ref["c_i"]]
+            req = make_login_request(card, pw, t)
+            assert (req.cid, req.c_i) == (derived.cid, derived.check)
+
+            srv = oracle.server_values(ref["cid"], n_ref, as_int(secrets.y), t, **ref_params)
+            decision = authenticate(secrets, req, t_star=t, hash_id="sha512")
+            assert decision.accepted
+            assert as_int(decision.recovered_hpw) == srv["recovered_hpw"]
+            assert srv["expected_c_i"] == ref["c_i"]
+
+            new = change_password(card, pw, b"new")
+            assert as_int(new.n_i) == oracle.changed_registration_value(n_ref, pw, b"new", "sha512")
 
     def test_password_change_matches_oracle(self, card):
         new = change_password(card, b"old", b"new")

@@ -175,6 +175,12 @@ class TestServerConfigFile:
             load_server_config(path)
         assert str(loaded.value) == str(built.value)
 
+    def test_out_of_range_port_built_in_code_rejected(self, server_secrets):
+        for port in (99999, -1):
+            with pytest.raises(ValueError, match="port"):
+                ServerConfig(server_secrets, ("127.0.0.1", port))
+        assert ServerConfig(server_secrets, ("127.0.0.1", 65535)).bind_address[1] == 65535
+
 
 def test_parse_address():
     assert parse_address("127.0.0.1:8080") == ("127.0.0.1", 8080)
