@@ -17,7 +17,6 @@ from authlab.protocol import (
     ServerSecrets,
     authenticate,
     change_password,
-    derive_login_values,
     issue_card,
     make_login_request,
     register_user,

@@ -9,6 +9,7 @@ DEFAULT_WIDTH = 256
 
 # Timestamps embed as a 64-bit field, so narrower protocol widths are unusable.
 MIN_WIDTH = 64
+MAX_TIMESTAMP = (1 << 64) - 1
 
 
 class Bits(bytes):
@@ -76,7 +77,7 @@ def embed_timestamp(t: int, width: int = DEFAULT_WIDTH) -> Bits:
 
     Injective over 0 <= t < 2**64; anything outside is rejected.
     """
-    if not 0 <= t < 1 << 64:
+    if not 0 <= t <= MAX_TIMESTAMP:
         raise ValueError(f"timestamp out of 64-bit range: {t}")
     if width < MIN_WIDTH or width % 8:
         raise ValueError(f"width must be a multiple of 8 and at least {MIN_WIDTH}, got {width}")

@@ -6,6 +6,8 @@ import os
 import time
 from typing import Callable, Mapping
 
+from authlab.bits import MAX_TIMESTAMP
+
 Clock = Callable[[], int]
 
 FAKE_TIME_ENV = "AUTHLAB_FAKE_TIME"
@@ -31,6 +33,6 @@ def clock_from_env(env: Mapping[str, str] | None = None) -> Clock:
         t = int(raw)
     except ValueError as exc:
         raise ValueError(f"{FAKE_TIME_ENV} must be integer seconds, got {raw!r}") from exc
-    if not 0 <= t < 1 << 64:
+    if not 0 <= t <= MAX_TIMESTAMP:
         raise ValueError(f"{FAKE_TIME_ENV} must be in 0..2**64-1, got {raw!r}")
     return fixed_clock(t)

@@ -24,16 +24,13 @@ import hashlib
 import hmac
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
 
-from authlab.bits import DEFAULT_HASH_ID, MIN_WIDTH, Bits, hash_bytes, hash_width
+from authlab.bits import DEFAULT_HASH_ID, MAX_TIMESTAMP, MIN_WIDTH, Bits, hash_bytes, hash_width
 
 Password = bytes
 
 DEFAULT_WINDOW_SECS = 60
 DEFAULT_SKEW_SECS = 5
-
-MAX_TIMESTAMP = (1 << 64) - 1
 
 
 class Reason(Enum):
@@ -61,14 +58,13 @@ class ServerSecrets:
             raise ValueError(f"secret widths differ: x={self.x.width}, y={self.y.width}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SmartcardState:
     """Personalization payload a card carries: registration value, shared
     secret, and the hash configuration both sides must agree on.
 
-    Mutable on purpose: a real card overwrites its registration value during
-    a password change, and the attack tests exercise clone independence by
-    reassigning fields.
+    Frozen, so the widths checked here hold for the card's lifetime; a
+    password change returns a new card.
     """
 
     n_i: Bits
@@ -139,15 +135,6 @@ def issue_card(pw: Password, secrets: ServerSecrets, hash_id: str = DEFAULT_HASH
     return SmartcardState(n_i=n_i, y=secrets.y, hash_id=hash_id, k=n_i.width)
 
 
-class LoginDerivation(NamedTuple):
-    """Every value the card computes during login, exposed for audit."""
-
-    hpw: Bits
-    cid: Bits
-    binding: Bits
-    check: Bits
-
-
 def _h(v: int, hash_id: str, n: int) -> int:
     """h() of the n-byte big-endian value v, as an int."""
     digest = hashlib.new(hash_id, v.to_bytes(n, "big")).digest()
@@ -156,35 +143,26 @@ def _h(v: int, hash_id: str, n: int) -> int:
     return int.from_bytes(digest, "big")
 
 
-def derive_login_values(card: SmartcardState, typed_pw: Password, t: int) -> LoginDerivation:
-    """Card-side login derivation, with hpw = h(typed_pw) and t as a k-bit value:
-
-        cid     = hpw xor h(n_i xor y xor t)
-        binding = h(cid xor hpw)
-        check   = h(t xor n_i xor binding xor y)
-    """
-    if not 0 <= t <= MAX_TIMESTAMP:
-        raise ValueError(f"timestamp out of 64-bit range: {t}")
-    hash_id, n = card.hash_id, card.k // 8
-    if not len(card.n_i) == len(card.y) == n:
-        raise ValueError(f"width mismatch: card fields must be k={card.k} bits")
-    n_y = int.from_bytes(card.n_i, "big") ^ int.from_bytes(card.y, "big")
-    hpw = int.from_bytes(hashlib.new(hash_id, typed_pw).digest(), "big")
-    cid = hpw ^ _h(n_y ^ t, hash_id, n)
-    binding = _h(cid ^ hpw, hash_id, n)
-    check = _h(t ^ n_y ^ binding, hash_id, n)
-    return LoginDerivation(*(Bits(v.to_bytes(n, "big")) for v in (hpw, cid, binding, check)))
-
-
 def make_login_request(card: SmartcardState, typed_pw: Password, t: int) -> LoginRequest:
-    """Card side of login: the request tuple for the typed password at time t.
+    """Card side of login, with hpw = h(typed_pw) and t as a k-bit value:
+
+        cid = hpw xor h(n_i xor y xor t)
+        b   = h(cid xor hpw)
+        c_i = h(t xor n_i xor b xor y)
 
     The typed password is *not* checked against anything: the card stores no
     verifier, so any byte string is accepted here and, by construction of the
     server check, later.
     """
-    derived = derive_login_values(card, typed_pw, t)
-    return LoginRequest(cid=derived.cid, n_i=card.n_i, c_i=derived.check, t=t)
+    if not 0 <= t <= MAX_TIMESTAMP:
+        raise ValueError(f"timestamp out of 64-bit range: {t}")
+    hash_id, n = card.hash_id, card.k // 8
+    n_y = int.from_bytes(card.n_i, "big") ^ int.from_bytes(card.y, "big")
+    hpw = int.from_bytes(hashlib.new(hash_id, typed_pw).digest(), "big")
+    cid = hpw ^ _h(n_y ^ t, hash_id, n)
+    b = _h(cid ^ hpw, hash_id, n)
+    c_i = _h(t ^ n_y ^ b, hash_id, n)
+    return LoginRequest(cid=Bits(cid.to_bytes(n, "big")), n_i=card.n_i, c_i=Bits(c_i.to_bytes(n, "big")), t=t)
 
 
 def authenticate(

@@ -18,6 +18,8 @@ diff-able on purpose.
 from __future__ import annotations
 
 import json
+import os
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -69,6 +71,20 @@ def _load_json(path: str | Path, err: type[StorageError]) -> dict:
     return doc
 
 
+def _write_json(path: str | Path, doc: dict) -> None:
+    """Write doc to a new mode-0600 file beside path and rename it over path,
+    so a failed write leaves the old file whole. Writing through a symlink rewrites its target."""
+    path = os.path.realpath(path)
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=".authlab-", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(doc, indent=2) + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def save_card(path: str | Path, card: SmartcardState) -> None:
     doc = {
         "format_version": CARD_FORMAT_VERSION,
@@ -77,7 +93,7 @@ def save_card(path: str | Path, card: SmartcardState) -> None:
         "n_i": card.n_i.hex(),
         "y": card.y.hex(),
     }
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    _write_json(path, doc)
 
 
 def load_card(path: str | Path) -> SmartcardState:
@@ -177,4 +193,4 @@ def save_server_config(path: str | Path, config: ServerConfig) -> None:
         "hash_id": config.hash_id,
         "audit_path": config.audit_path,
     }
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    _write_json(path, doc)

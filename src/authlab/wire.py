@@ -34,10 +34,10 @@ import sys
 import threading
 from typing import IO
 
+from authlab.bits import MIN_WIDTH, Bits
 from authlab.clock import Clock, system_clock
 from authlab.protocol import (
     AuthDecision,
-    Bits,
     LoginRequest,
     Password,
     Reason,
@@ -126,7 +126,7 @@ def decode_login_request(data: bytes) -> LoginRequest:
     if body_len <= 0 or body_len % 3:
         raise MalformedFrameError(f"login payload of {len(payload)} bytes has no valid split")
     n = body_len // 3
-    if n < 8:
+    if n * 8 < MIN_WIDTH:
         raise MalformedFrameError(f"field width {n * 8} bits below 64-bit minimum")
     cid, n_i, c_i, t = payload[:n], payload[n : 2 * n], payload[2 * n : 3 * n], payload[3 * n :]
     return LoginRequest(cid=Bits(cid), n_i=Bits(n_i), c_i=Bits(c_i), t=int.from_bytes(t, "big"))

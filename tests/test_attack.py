@@ -1,6 +1,6 @@
 import json
 import random
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
@@ -28,10 +28,12 @@ class TestCloneCard:
         assert dup is not card
 
     def test_clone_is_independent(self, card, now):
-        dup = replace(card)
         original_n_i = card.n_i
-        dup.n_i = dup.n_i ^ hash_bytes(b"scribble")
+        dup = replace(card, n_i=card.n_i ^ hash_bytes(b"scribble"))
+        assert dup.n_i != original_n_i
         assert card.n_i == original_n_i
+        with pytest.raises(FrozenInstanceError):
+            card.n_i = dup.n_i
 
     def test_clone_authenticates_with_random_password(self, card, server_secrets, now):
         dup = replace(card)

@@ -1,7 +1,9 @@
 import getpass
 import io
 import json
+import resource
 import signal
+import stat
 import subprocess
 import sys
 
@@ -178,6 +180,25 @@ class TestChangePassword:
         for pw in ("x", "anything", ""):
             assert main(["login", "--card", str(card_path), "--server", live_server, "--password", pw]) == 0
         capsys.readouterr()
+
+    def test_failed_rewrite_leaves_old_card_whole(self, tmp_path, card_path):
+        before = card_path.read_bytes()
+        assert stat.S_IMODE(card_path.stat().st_mode) == 0o600
+
+        def limit_file_size():  # runs in the child only
+            signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+            resource.setrlimit(resource.RLIMIT_FSIZE, (100, 100))
+
+        assert len(before) > 100
+        proc = subprocess.run(
+            [sys.executable, "-m", "authlab", "change-password", "--card", str(card_path),
+             "--old-password", PW, "--new-password", "next"],
+            preexec_fn=limit_file_size, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert "cannot rewrite card file" in proc.stderr
+        assert card_path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["alice.card", "server.json"]
 
     def test_bad_card_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "nope.card"

@@ -12,7 +12,6 @@ from authlab import (
     ServerSecrets,
     authenticate,
     change_password,
-    derive_login_values,
     hash_bits,
     hash_bytes,
     issue_card,
@@ -108,13 +107,11 @@ class TestLoginRequest:
             with pytest.raises(ValueError):
                 make_login_request(card, GOLDEN_PW, t)
 
-    def test_card_field_reassigned_to_another_width_rejected(self, card, now):
+    def test_card_field_reassigned_to_another_width_rejected(self, card):
         for field in ("n_i", "y"):
             for width in (128, 512):
-                bad = replace(card)
-                setattr(bad, field, Bits(bytes(width // 8)))
                 with pytest.raises(ValueError):
-                    derive_login_values(bad, GOLDEN_PW, now)
+                    replace(card, **{field: Bits(bytes(width // 8))})
 
 
 class TestAuthenticate:
@@ -273,18 +270,14 @@ class TestOracleEquivalence:
             assert as_int(card.n_i) == n_ref
 
             ref = oracle.login_values(pw, n_ref, as_int(secrets.y), t)
-            derived = derive_login_values(card, pw, t)
-            assert as_int(derived.hpw) == ref["hpw"]
-            assert as_int(derived.cid) == ref["cid"]
-            assert as_int(derived.binding) == ref["b_i"]
-            assert as_int(derived.check) == ref["c_i"]
-
             req = make_login_request(card, pw, t)
-            assert (req.cid, req.c_i) == (derived.cid, derived.check)
+            assert as_int(req.cid) == ref["cid"]
+            assert as_int(req.c_i) == ref["c_i"]
 
             srv = oracle.server_values(ref["cid"], n_ref, as_int(secrets.y), t)
             decision = authenticate(secrets, req, t_star=t)
             assert decision.accepted
+            assert as_int(decision.recovered_hpw) == ref["hpw"]
             assert as_int(decision.recovered_hpw) == srv["recovered_hpw"]
             assert srv["b_i"] == ref["b_i"]
             assert srv["expected_c_i"] == ref["c_i"]
@@ -302,15 +295,15 @@ class TestOracleEquivalence:
             assert as_int(card.n_i) == n_ref
 
             ref = oracle.login_values(pw, n_ref, as_int(secrets.y), t, **ref_params)
-            derived = derive_login_values(card, pw, t)
-            assert [as_int(v) for v in derived] == [ref["hpw"], ref["cid"], ref["b_i"], ref["c_i"]]
             req = make_login_request(card, pw, t)
-            assert (req.cid, req.c_i) == (derived.cid, derived.check)
+            assert [as_int(req.cid), as_int(req.c_i)] == [ref["cid"], ref["c_i"]]
 
             srv = oracle.server_values(ref["cid"], n_ref, as_int(secrets.y), t, **ref_params)
             decision = authenticate(secrets, req, t_star=t, hash_id="sha512")
             assert decision.accepted
+            assert as_int(decision.recovered_hpw) == ref["hpw"]
             assert as_int(decision.recovered_hpw) == srv["recovered_hpw"]
+            assert srv["b_i"] == ref["b_i"]
             assert srv["expected_c_i"] == ref["c_i"]
 
             new = change_password(card, pw, b"new")

@@ -7,6 +7,7 @@ from authlab import (
     CardFileError,
     ConfigError,
     ServerConfig,
+    change_password,
     issue_card,
     load_card,
     load_server_config,
@@ -56,6 +57,15 @@ class TestCardFile:
             "n_i": card.n_i.hex(),
             "y": card.y.hex(),
         }
+
+    def test_rewrite_through_symlink_keeps_the_link(self, card_file, tmp_path):
+        path, card = card_file
+        link = tmp_path / "link.card"
+        link.symlink_to(path)
+        changed = change_password(card, GOLDEN_PW, b"new")
+        save_card(link, changed)
+        assert link.is_symlink()
+        assert load_card(path) == changed
 
     def test_unknown_format_version_rejected(self, card_file):
         path, _ = card_file
