@@ -16,7 +16,7 @@ import json
 import random
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from authlab.clock import Clock
 from authlab.protocol import (
@@ -43,9 +43,12 @@ class Scenario(Enum):
     CLONED_CARD = "CLONED_CARD"
 
 
-@dataclass(frozen=True)
-class AttackTrial:
-    """One login attempt: the password actually used, verbatim, and the outcome."""
+class AttackTrial(NamedTuple):
+    """One login attempt: the password actually used, verbatim, and the outcome.
+
+    A named tuple, not a dataclass: one is built per trial, and the tuple is
+    cheaper to build and to keep.
+    """
 
     trial_index: int
     password_used: Password
@@ -119,15 +122,7 @@ def run_random_password_attack(
         t = clock()
         decision = submit(card, pw, t)
         accepted += decision.accepted
-        log.append(
-            AttackTrial(
-                trial_index=index,
-                password_used=pw,
-                timestamp=t,
-                accepted=decision.accepted,
-                reason=decision.reason,
-            )
-        )
+        log.append(AttackTrial(index, pw, t, decision.accepted, decision.reason))
     return AttackReport(
         scenario=scenario,
         trials=trials,

@@ -20,12 +20,12 @@ faithful to the scheme under study, not an implementation bug.
 
 from __future__ import annotations
 
-import hashlib
 import hmac
 from dataclasses import dataclass
 from enum import Enum
+from typing import Any, Callable
 
-from authlab.bits import DEFAULT_HASH_ID, MAX_TIMESTAMP, MIN_WIDTH, Bits, hash_bytes, hash_width
+from authlab.bits import DEFAULT_HASH_ID, MAX_TIMESTAMP, MIN_WIDTH, Bits, hash_bytes, hash_width, hasher
 
 Password = bytes
 
@@ -135,9 +135,9 @@ def issue_card(pw: Password, secrets: ServerSecrets, hash_id: str = DEFAULT_HASH
     return SmartcardState(n_i=n_i, y=secrets.y, hash_id=hash_id, k=n_i.width)
 
 
-def _h(v: int, hash_id: str, n: int) -> int:
-    """h() of the n-byte big-endian value v, as an int."""
-    digest = hashlib.new(hash_id, v.to_bytes(n, "big")).digest()
+def _h(v: int, hash_id: str, n: int, new: Callable[[bytes], Any]) -> int:
+    """h() of the n-byte big-endian value v, as an int; new is hasher(hash_id)."""
+    digest = new(v.to_bytes(n, "big")).digest()
     if len(digest) != n:
         raise ValueError(f"width mismatch: {hash_id} gives {len(digest) * 8} bits, not {n * 8}")
     return int.from_bytes(digest, "big")
@@ -157,11 +157,12 @@ def make_login_request(card: SmartcardState, typed_pw: Password, t: int) -> Logi
     if not 0 <= t <= MAX_TIMESTAMP:
         raise ValueError(f"timestamp out of 64-bit range: {t}")
     hash_id, n = card.hash_id, card.k // 8
+    new = hasher(hash_id)
     n_y = int.from_bytes(card.n_i, "big") ^ int.from_bytes(card.y, "big")
-    hpw = int.from_bytes(hashlib.new(hash_id, typed_pw).digest(), "big")
-    cid = hpw ^ _h(n_y ^ t, hash_id, n)
-    b = _h(cid ^ hpw, hash_id, n)
-    c_i = _h(t ^ n_y ^ b, hash_id, n)
+    hpw = int.from_bytes(new(typed_pw).digest(), "big")
+    cid = hpw ^ _h(n_y ^ t, hash_id, n, new)
+    b = _h(cid ^ hpw, hash_id, n, new)
+    c_i = _h(t ^ n_y ^ b, hash_id, n, new)
     return LoginRequest(cid=Bits(cid.to_bytes(n, "big")), n_i=card.n_i, c_i=Bits(c_i.to_bytes(n, "big")), t=t)
 
 
@@ -196,11 +197,12 @@ def authenticate(
         return AuthDecision(accepted=False, reason=Reason.FUTURE_TIMESTAMP)
     if n * 8 < MIN_WIDTH:
         raise ValueError(f"width must be at least {MIN_WIDTH} bits, got {n * 8}")
+    new = hasher(hash_id)
     cid = int.from_bytes(req.cid, "big")
     n_y = int.from_bytes(req.n_i, "big") ^ int.from_bytes(secrets.y, "big")
-    recovered_hpw = cid ^ _h(n_y ^ req.t, hash_id, n)
-    b = _h(cid ^ recovered_hpw, hash_id, n)
-    ok = hmac.compare_digest(_h(req.t ^ n_y ^ b, hash_id, n).to_bytes(n, "big"), req.c_i)
+    recovered_hpw = cid ^ _h(n_y ^ req.t, hash_id, n, new)
+    b = _h(cid ^ recovered_hpw, hash_id, n, new)
+    ok = hmac.compare_digest(_h(req.t ^ n_y ^ b, hash_id, n, new).to_bytes(n, "big"), req.c_i)
     return AuthDecision(ok, Reason.OK if ok else Reason.CHECK_FAILED, Bits(recovered_hpw.to_bytes(n, "big")))
 
 

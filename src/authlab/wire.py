@@ -27,11 +27,13 @@ from __future__ import annotations
 
 import json
 import logging
+import queue
 import socket
 import socketserver
 import struct
 import sys
 import threading
+import time
 from typing import IO
 
 from authlab.bits import MIN_WIDTH, Bits
@@ -154,10 +156,17 @@ def decode_auth_response(data: bytes) -> AuthDecision:
     return AuthDecision(accepted=status == 0x00, reason=reason, recovered_hpw=recovered)
 
 
-def _recv_exact(conn: socket.socket, n: int) -> bytes:
+def _recv_exact(conn: socket.socket, n: int, deadline: float | None) -> bytes:
+    """n bytes, each recv bounded by the socket timeout and, when a monotonic
+    deadline is given, by the time left before it."""
     chunks = []
     remaining = n
     while remaining:
+        if deadline is not None:
+            left = deadline - time.monotonic()
+            if left <= 0:
+                raise TimeoutError(f"deadline passed with {remaining} bytes outstanding")
+            conn.settimeout(left)
         chunk = conn.recv(remaining)
         if not chunk:
             raise MalformedFrameError(f"connection closed with {remaining} bytes outstanding")
@@ -166,11 +175,11 @@ def _recv_exact(conn: socket.socket, n: int) -> bytes:
     return b"".join(chunks)
 
 
-def _recv_frame(conn: socket.socket) -> bytes:
+def _recv_frame(conn: socket.socket, deadline: float | None = None) -> bytes:
     """One whole frame: the header, checked before the payload it declares is read."""
-    header = _recv_exact(conn, _HEADER.size)
+    header = _recv_exact(conn, _HEADER.size, deadline)
     _, payload_len = _parse_header(header)
-    return header + _recv_exact(conn, payload_len)
+    return header + _recv_exact(conn, payload_len, deadline)
 
 
 class _LoginHandler(socketserver.BaseRequestHandler):
@@ -179,10 +188,9 @@ class _LoginHandler(socketserver.BaseRequestHandler):
     def handle(self) -> None:
         srv = self.server
         conn = self.request
-        conn.settimeout(srv.io_timeout)
         peer = "%s:%s" % self.client_address[:2]
         try:
-            req = decode_login_request(_recv_frame(conn))
+            req = decode_login_request(_recv_frame(conn, time.monotonic() + srv.io_timeout))
         except BadTypeError:
             srv.audit(peer, None, "reject", "BAD_TYPE")
             return
@@ -198,18 +206,24 @@ class _LoginHandler(socketserver.BaseRequestHandler):
             pass  # peer went away; the audit line already records the decision
 
 
-class AuthServer(socketserver.ThreadingTCPServer):
+class AuthServer(socketserver.TCPServer):
     """One-request-per-connection authentication server.
 
-    Obtain one via serve(); the instance is the running handle. Authentication
-    is pure, so the only shared state is the append-only audit stream, guarded
-    by a lock so each JSON line is written atomically.
+    Obtain one via serve(); the instance is the running handle. The accept
+    loop queues each connection for a fixed pool of handler_cap threads and
+    blocks while that queue is full, so further peers wait in the listen
+    backlog; no peer gets a thread of its own. A handler gives a connection
+    at most io_timeout seconds in total to deliver its frame. Authentication
+    is pure, so the only shared state is the append-only audit stream,
+    guarded by a lock so each JSON line is written atomically.
     """
 
     allow_reuse_address = True
-    daemon_threads = False
-    block_on_close = True
     io_timeout = 5.0
+    handler_cap = 8
+    # the listen backlog; socketserver's 5 overflows, and peers get reset, as
+    # soon as a burst of a few dozen connects meets a busy pool
+    request_queue_size = 128
 
     def __init__(self, config: ServerConfig, clock: Clock, audit_stream: IO[str] | None):
         self.config = config
@@ -217,6 +231,8 @@ class AuthServer(socketserver.ThreadingTCPServer):
         self._audit_stream = audit_stream if audit_stream is not None else sys.stderr
         self._audit_lock = threading.Lock()
         self._thread: threading.Thread | None = None
+        self._handlers: list[threading.Thread] = []
+        self._pending: queue.Queue = queue.Queue(maxsize=self.handler_cap)
         super().__init__(config.bind_address, _LoginHandler)
 
     @property
@@ -225,21 +241,45 @@ class AuthServer(socketserver.ThreadingTCPServer):
         return self.server_address[:2]
 
     def start(self) -> None:
+        self._handlers = [
+            threading.Thread(target=self._handle_pending, name=f"authlab-handler-{i}")
+            for i in range(self.handler_cap)
+        ]
+        for handler in self._handlers:
+            handler.start()
         self._thread = threading.Thread(
             target=self.serve_forever, kwargs={"poll_interval": 0.05}, name="authlab-server"
         )
         self._thread.start()
 
     def close(self) -> None:
-        """Stop accepting, then drain in-flight handler threads."""
+        """Stop accepting, let the handlers finish what is queued, then stop them."""
         self.shutdown()
         if self._thread is not None:
             self._thread.join()
             self._thread = None
+        for _ in self._handlers:
+            self._pending.put(None)
+        for handler in self._handlers:
+            handler.join()
+        self._handlers = []
         self.server_close()
 
     def __exit__(self, *exc_info) -> None:
         self.close()
+
+    def process_request(self, request, client_address) -> None:
+        self._pending.put((request, client_address))
+
+    def _handle_pending(self) -> None:
+        while (item := self._pending.get()) is not None:
+            request, client_address = item
+            try:
+                self.finish_request(request, client_address)
+            except Exception:
+                self.handle_error(request, client_address)
+            finally:
+                self.shutdown_request(request)
 
     def audit(self, peer: str, cid_hex: str | None, decision: str, reason: str) -> None:
         line = json.dumps(

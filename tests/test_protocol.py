@@ -1,3 +1,4 @@
+import hashlib
 import random
 from dataclasses import replace
 
@@ -107,6 +108,11 @@ class TestLoginRequest:
             with pytest.raises(ValueError):
                 make_login_request(card, GOLDEN_PW, t)
 
+    def test_openssl_only_hash_name_gives_identical_request(self, card, now):
+        # "SHA256" goes through hashlib.new, "sha256" through the named constructor
+        upper = replace(card, hash_id="SHA256")
+        assert make_login_request(upper, GOLDEN_PW, now) == make_login_request(card, GOLDEN_PW, now)
+
     def test_card_field_reassigned_to_another_width_rejected(self, card):
         for field in ("n_i", "y"):
             for width in (128, 512):
@@ -133,8 +139,17 @@ class TestAuthenticate:
     def test_hash_of_another_width_raises(self, card, server_secrets, now):
         req = make_login_request(card, GOLDEN_PW, now)
         for hash_id in ("sha512", "sha224"):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match=f"width mismatch: {hash_id} gives"):
                 authenticate(server_secrets, req, t_star=now, hash_id=hash_id)
+
+    @pytest.mark.skipif("sha512_256" not in hashlib.algorithms_available, reason="OpenSSL lacks sha512_256")
+    def test_openssl_only_hash_logs_in(self, server_secrets, now):
+        card = issue_card(GOLDEN_PW, server_secrets, "sha512_256")
+        decision = authenticate(
+            server_secrets, make_login_request(card, b"any pw", now), t_star=now, hash_id="sha512_256"
+        )
+        assert decision.reason is Reason.OK
+        assert decision.recovered_hpw == hash_bytes(b"any pw", "sha512_256")
 
     def test_honest_login_accepts(self, card, server_secrets, now):
         req = make_login_request(card, GOLDEN_PW, now)

@@ -1,7 +1,12 @@
 import io
 import json
 import random
+import select
 import socket
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -269,3 +274,96 @@ class TestServer:
         host, port = live_server.address
         assert host == "127.0.0.1"
         assert port > 0
+
+
+IO_TIMEOUT = 0.5  # a short per-connection deadline keeps the transport tests fast
+
+
+@pytest.fixture
+def quick_server(server_secrets, now, audit):
+    with serve(ServerConfig(server_secrets, ("127.0.0.1", 0)), fixed_clock(now), audit_stream=audit) as srv:
+        srv.io_timeout = IO_TIMEOUT
+        yield srv
+
+
+def trickle(conn: socket.socket, frame: bytes) -> float:
+    """Send frame one byte per 0.1 s; seconds until the server ends the connection."""
+    start = time.monotonic()
+    for byte in frame:
+        try:
+            conn.sendall(bytes([byte]))
+        except OSError:
+            break
+        if select.select([conn], [], [], 0.1)[0]:
+            break  # EOF or reset: the server let go
+    return time.monotonic() - start
+
+
+def audited_reasons(audit: io.StringIO) -> list[str]:
+    return [json.loads(line)["reason"] for line in audit.getvalue().splitlines()]
+
+
+class TestBoundedServer:
+    def test_trickling_peer_cut_at_deadline(self, quick_server, card, now, audit):
+        frame = encode_login_request(make_login_request(card, GOLDEN_PW, now))
+        with socket.create_connection(quick_server.address, timeout=5) as conn:
+            held = trickle(conn, frame)  # the whole frame would take 11 s
+        assert IO_TIMEOUT * 0.9 <= held < IO_TIMEOUT + 0.5
+        assert audited_reasons(audit) == ["MALFORMED_FRAME"]
+
+    def test_honest_login_waits_for_a_free_handler(self, quick_server, card, now, audit):
+        frame = encode_login_request(make_login_request(card, GOLDEN_PW, now))
+        cap = quick_server.handler_cap
+        conns = [socket.create_connection(quick_server.address, timeout=5) for _ in range(cap)]
+        try:
+            with ThreadPoolExecutor(cap) as pool:
+                trickles = [pool.submit(trickle, conn, frame) for conn in conns]
+                start = time.monotonic()
+                decision = client_login(quick_server.address, card, GOLDEN_PW, fixed_clock(now))
+                waited = time.monotonic() - start
+                held = [f.result() for f in trickles]
+        finally:
+            for conn in conns:
+                conn.close()
+        assert decision.reason is Reason.OK
+        assert waited < 2 * IO_TIMEOUT
+        assert all(h < IO_TIMEOUT + 0.5 for h in held)
+        # every handler was held, so the honest peer was served only after a trickler was cut
+        reasons = audited_reasons(audit)
+        assert reasons[0] == "MALFORMED_FRAME"
+        assert sorted(reasons) == ["MALFORMED_FRAME"] * cap + ["OK"]
+
+    def test_close_returns_within_one_deadline_while_handlers_held(self, server_secrets, now, audit):
+        srv = serve(ServerConfig(server_secrets, ("127.0.0.1", 0)), fixed_clock(now), audit_stream=audit)
+        srv.io_timeout = IO_TIMEOUT
+        conns = [socket.create_connection(srv.address, timeout=5) for _ in range(srv.handler_cap)]
+        try:
+            time.sleep(0.1)  # every handler is now waiting for a header
+            start = time.monotonic()
+            srv.close()
+            took = time.monotonic() - start
+        finally:
+            for conn in conns:
+                conn.close()
+        assert took < IO_TIMEOUT + 0.5
+        assert audited_reasons(audit) == ["MALFORMED_FRAME"] * srv.handler_cap
+        assert not [t for t in threading.enumerate() if t.name.startswith("authlab-")]
+
+    def test_concurrent_clients_each_audited_once(self, live_server, card, now, audit):
+        def logins(worker: int) -> list[tuple[bytes, AuthDecision]]:
+            pws = [f"{worker}-{i}".encode() for i in range(10)]
+            return [(pw, client_login(live_server.address, card, pw, fixed_clock(now))) for pw in pws]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, to shake out a lost or doubled audit line
+        try:
+            with ThreadPoolExecutor(32) as pool:
+                results = [result for batch in pool.map(logins, range(32)) for result in batch]
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(results) == 320
+        assert all(d.reason is Reason.OK and d.recovered_hpw == hash_bytes(pw) for pw, d in results)
+        cids = [json.loads(line)["cid_hex"] for line in audit.getvalue().splitlines()]
+        assert sorted(cids) == sorted(make_login_request(card, pw, now).cid.hex() for pw, _ in results)
+        handlers = [t for t in threading.enumerate() if t.name.startswith("authlab-handler")]
+        assert len(handlers) == live_server.handler_cap
