@@ -254,8 +254,8 @@ class AuthServer(socketserver.TCPServer):
 
     def close(self) -> None:
         """Stop accepting, let the handlers finish what is queued, then stop them."""
-        self.shutdown()
         if self._thread is not None:
+            self.shutdown()  # waits for serve_forever, so only once it has run
             self._thread.join()
             self._thread = None
         for _ in self._handlers:

@@ -29,6 +29,7 @@ from authlab import (
 from authlab.wire import (
     MSG_AUTH_RESPONSE,
     MSG_LOGIN_REQUEST,
+    AuthServer,
     BadTypeError,
     ConnectionFailedError,
     MalformedFrameError,
@@ -336,8 +337,10 @@ class TestBoundedServer:
     def test_close_returns_within_one_deadline_while_handlers_held(self, server_secrets, now, audit):
         srv = serve(ServerConfig(server_secrets, ("127.0.0.1", 0)), fixed_clock(now), audit_stream=audit)
         srv.io_timeout = IO_TIMEOUT
-        conns = [socket.create_connection(srv.address, timeout=5) for _ in range(srv.handler_cap)]
+        conns = []
         try:
+            for _ in range(srv.handler_cap):
+                conns.append(socket.create_connection(srv.address, timeout=5))
             time.sleep(0.1)  # every handler is now waiting for a header
             start = time.monotonic()
             srv.close()
@@ -345,9 +348,17 @@ class TestBoundedServer:
         finally:
             for conn in conns:
                 conn.close()
+            srv.close()  # a no-op once closed; stops the handlers if the test failed early
         assert took < IO_TIMEOUT + 0.5
         assert audited_reasons(audit) == ["MALFORMED_FRAME"] * srv.handler_cap
         assert not [t for t in threading.enumerate() if t.name.startswith("authlab-")]
+
+    def test_close_of_a_server_never_started_returns(self, server_secrets, now):
+        srv = AuthServer(ServerConfig(server_secrets, ("127.0.0.1", 0)), fixed_clock(now), io.StringIO())
+        closer = threading.Thread(target=srv.close, daemon=True)  # a hung close must not hold the suite
+        closer.start()
+        closer.join(timeout=5)
+        assert not closer.is_alive()
 
     def test_concurrent_clients_each_audited_once(self, live_server, card, now, audit):
         def logins(worker: int) -> list[tuple[bytes, AuthDecision]]:
