@@ -18,18 +18,17 @@ protocol would not reveal it.
 The decoders are strict: given one whole frame, they reject a wrong
 version, a declared length that does not match, trailing bytes, or an
 unexpected message type. The server and the client each read one frame off
-the socket (the header, then the payload it declares), decode it with those
-same functions, and ignore any bytes sent after it. The server answers
-exactly one request per connection and then closes.
+the socket before a deadline (the header, checked as soon as it is in, then
+the payload it declares), decode it with those same functions, and ignore
+any bytes sent after it. The server answers exactly one request per
+connection and then closes.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-import queue
 import socket
-import socketserver
 import struct
 import sys
 import threading
@@ -156,130 +155,123 @@ def decode_auth_response(data: bytes) -> AuthDecision:
     return AuthDecision(accepted=status == 0x00, reason=reason, recovered_hpw=recovered)
 
 
-def _recv_exact(conn: socket.socket, n: int, deadline: float | None) -> bytes:
-    """n bytes, each recv bounded by the socket timeout and, when a monotonic
-    deadline is given, by the time left before it."""
-    chunks = []
-    remaining = n
-    while remaining:
-        if deadline is not None:
-            left = deadline - time.monotonic()
-            if left <= 0:
-                raise TimeoutError(f"deadline passed with {remaining} bytes outstanding")
-            conn.settimeout(left)
-        chunk = conn.recv(remaining)
+def _recv_frame(conn: socket.socket, deadline: float) -> bytes:
+    """One whole frame, read before a monotonic deadline. Each recv asks for
+    a maximal frame; the header is checked as soon as it is in, and bytes
+    past the frame it declares are dropped."""
+    buf = b""
+    size = None
+    while size is None or len(buf) < size:
+        left = deadline - time.monotonic()
+        if left <= 0:
+            raise TimeoutError(f"deadline passed with {len(buf)} bytes in")
+        conn.settimeout(left)
+        chunk = conn.recv(_HEADER.size + MAX_PAYLOAD)
         if not chunk:
-            raise MalformedFrameError(f"connection closed with {remaining} bytes outstanding")
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
+            raise MalformedFrameError(f"connection closed with {len(buf)} bytes in")
+        buf += chunk
+        if size is None and len(buf) >= _HEADER.size:
+            size = _HEADER.size + _parse_header(buf[: _HEADER.size])[1]
+    return buf[:size]
 
 
-def _recv_frame(conn: socket.socket, deadline: float | None = None) -> bytes:
-    """One whole frame: the header, checked before the payload it declares is read."""
-    header = _recv_exact(conn, _HEADER.size, deadline)
-    _, payload_len = _parse_header(header)
-    return header + _recv_exact(conn, payload_len, deadline)
-
-
-class _LoginHandler(socketserver.BaseRequestHandler):
-    server: "AuthServer"
-
-    def handle(self) -> None:
-        srv = self.server
-        conn = self.request
-        peer = "%s:%s" % self.client_address[:2]
-        try:
-            req = decode_login_request(_recv_frame(conn, time.monotonic() + srv.io_timeout))
-        except BadTypeError:
-            srv.audit(peer, None, "reject", "BAD_TYPE")
-            return
-        except (MalformedFrameError, OSError, ValueError):
-            srv.audit(peer, None, "reject", "MALFORMED_FRAME")
-            return
-        decision = srv.config.authenticate(req, srv.clock())
-        # audit before replying, so a client that has its verdict can already read the line
-        srv.audit(peer, req.cid.hex(), "accept" if decision.accepted else "reject", decision.reason.value)
-        try:
-            conn.sendall(encode_auth_response(decision, srv.config.secrets.y.width))
-        except OSError:
-            pass  # peer went away; the audit line already records the decision
-
-
-class AuthServer(socketserver.TCPServer):
+class AuthServer:
     """One-request-per-connection authentication server.
 
-    Obtain one via serve(); the instance is the running handle. The accept
-    loop queues each connection for a fixed pool of handler_cap threads and
-    blocks while that queue is full, so further peers wait in the listen
-    backlog; no peer gets a thread of its own. A handler gives a connection
-    at most io_timeout seconds in total to deliver its frame. Authentication
-    is pure, so the only shared state is the append-only audit stream,
-    guarded by a lock so each JSON line is written atomically.
+    Obtain one via serve(); the instance is the running handle. A fixed pool
+    of handler_cap threads each block in accept() on the one listening
+    socket, so the kernel hands every connection straight to an idle
+    handler, and further peers wait in the listen backlog; no peer gets a
+    thread of its own. A handler gives a connection at most io_timeout
+    seconds in total to deliver its frame. Authentication is pure, so the
+    only shared state is the append-only audit stream, guarded by a lock so
+    each JSON line is written atomically.
     """
 
-    allow_reuse_address = True
     io_timeout = 5.0
     handler_cap = 8
-    # the listen backlog; socketserver's 5 overflows, and peers get reset, as
-    # soon as a burst of a few dozen connects meets a busy pool
-    request_queue_size = 128
 
     def __init__(self, config: ServerConfig, clock: Clock, audit_stream: IO[str] | None):
         self.config = config
         self.clock = clock
         self._audit_stream = audit_stream if audit_stream is not None else sys.stderr
         self._audit_lock = threading.Lock()
-        self._thread: threading.Thread | None = None
         self._handlers: list[threading.Thread] = []
-        self._pending: queue.Queue = queue.Queue(maxsize=self.handler_cap)
-        super().__init__(config.bind_address, _LoginHandler)
-
-    @property
-    def address(self) -> tuple[str, int]:
-        """Actually bound (host, port); port is resolved even when bound to 0."""
-        return self.server_address[:2]
+        self._closing = False
+        # a burst of a few dozen connects meeting a busy pool must wait in the
+        # backlog, not overflow it: with a backlog of 5, peers were reset
+        self._socket = socket.create_server(config.bind_address, backlog=128)
+        # actually bound (host, port); the port is resolved even when bound to 0
+        self.address: tuple[str, int] = self._socket.getsockname()[:2]
 
     def start(self) -> None:
         self._handlers = [
-            threading.Thread(target=self._handle_pending, name=f"authlab-handler-{i}")
+            threading.Thread(target=self._accept_loop, name=f"authlab-handler-{i}")
             for i in range(self.handler_cap)
         ]
         for handler in self._handlers:
             handler.start()
-        self._thread = threading.Thread(
-            target=self.serve_forever, kwargs={"poll_interval": 0.05}, name="authlab-server"
-        )
-        self._thread.start()
 
     def close(self) -> None:
-        """Stop accepting, let the handlers finish what is queued, then stop them."""
-        if self._thread is not None:
-            self.shutdown()  # waits for serve_forever, so only once it has run
-            self._thread.join()
-            self._thread = None
-        for _ in self._handlers:
-            self._pending.put(None)
+        """Stop accepting; each handler finishes the connection it holds, then
+        exits. Peers still in the backlog are reset."""
+        self._closing = True
+        try:
+            # on Linux this fails every accept() blocked on the socket
+            self._socket.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass  # already closed
         for handler in self._handlers:
             handler.join()
         self._handlers = []
-        self.server_close()
+        self._socket.close()
+
+    def __enter__(self) -> "AuthServer":
+        return self
 
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    def process_request(self, request, client_address) -> None:
-        self._pending.put((request, client_address))
-
-    def _handle_pending(self) -> None:
-        while (item := self._pending.get()) is not None:
-            request, client_address = item
+    def _accept_loop(self) -> None:
+        while True:
             try:
-                self.finish_request(request, client_address)
+                conn, client_address = self._socket.accept()
+            except OSError:
+                if self._closing:
+                    return
+                continue  # e.g. out of descriptors; the peer stays in the backlog
+            peer = "%s:%s" % client_address[:2]
+            try:
+                self._handle(conn, peer)
             except Exception:
-                self.handle_error(request, client_address)
+                # never let one bad connection take a handler down
+                logger.exception("unhandled error serving %s", peer)
             finally:
-                self.shutdown_request(request)
+                # discard, without waiting, what the peer already sent (up to one frame):
+                # closing with unread input makes the kernel reset the connection, not end it
+                try:
+                    conn.setblocking(False)
+                    conn.recv(_HEADER.size + MAX_PAYLOAD)
+                except OSError:
+                    pass
+                conn.close()
+
+    def _handle(self, conn: socket.socket, peer: str) -> None:
+        try:
+            req = decode_login_request(_recv_frame(conn, time.monotonic() + self.io_timeout))
+        except BadTypeError:
+            self.audit(peer, None, "reject", "BAD_TYPE")
+            return
+        except (MalformedFrameError, OSError, ValueError):
+            self.audit(peer, None, "reject", "MALFORMED_FRAME")
+            return
+        decision = self.config.authenticate(req, self.clock())
+        # audit before replying, so a client that has its verdict can already read the line
+        self.audit(peer, req.cid.hex(), "accept" if decision.accepted else "reject", decision.reason.value)
+        try:
+            conn.sendall(encode_auth_response(decision, self.config.secrets.y.width))
+        except OSError:
+            pass  # peer went away; the audit line already records the decision
 
     def audit(self, peer: str, cid_hex: str | None, decision: str, reason: str) -> None:
         line = json.dumps(
@@ -289,20 +281,6 @@ class AuthServer(socketserver.TCPServer):
             self._audit_stream.write(line + "\n")
             self._audit_stream.flush()
 
-    def shutdown_request(self, request) -> None:
-        # discard, without waiting, what the peer already sent (up to one frame):
-        # closing with unread input makes the kernel reset the connection, not end it
-        try:
-            request.setblocking(False)
-            request.recv(_HEADER.size + MAX_PAYLOAD)
-        except OSError:
-            pass
-        super().shutdown_request(request)
-
-    def handle_error(self, request, client_address) -> None:
-        # never let one bad connection take the server down
-        logger.exception("unhandled error serving %s", client_address)
-
 
 def serve(
     config: ServerConfig,
@@ -310,8 +288,8 @@ def serve(
     *,
     audit_stream: IO[str] | None = None,
 ) -> AuthServer:
-    """Bind to config.bind_address, start accepting in a background thread,
-    and return the handle.
+    """Bind to config.bind_address, start the handler threads, and return
+    the handle.
 
     Bind failures surface immediately as OSError. Close the handle (or use it
     as a context manager) for an orderly shutdown.
@@ -335,6 +313,7 @@ def client_login(
         conn = socket.create_connection(address, timeout=timeout)
     except OSError as exc:
         raise ConnectionFailedError(f"cannot connect to {address[0]}:{address[1]}: {exc}") from exc
+    deadline = time.monotonic() + timeout  # for the whole exchange, as on the server
     with conn:
         try:
             conn.sendall(encode_login_request(req))
@@ -342,7 +321,7 @@ def client_login(
         except OSError as exc:
             raise ConnectionFailedError(f"send failed: {exc}") from exc
         try:
-            frame = _recv_frame(conn)
+            frame = _recv_frame(conn, deadline)
         except (MalformedFrameError, OSError) as exc:
             raise MalformedResponseError(f"no valid response: {exc}") from exc
     return decode_auth_response(frame)

@@ -260,6 +260,19 @@ class TestServer:
         with pytest.raises(MalformedFrameError):
             decode_login_request(honest + b"junk after the frame")
 
+    def test_frame_in_pieces_answered_once(self, live_server, card, now, audit):
+        frame = encode_login_request(make_login_request(card, GOLDEN_PW, now))
+        with socket.create_connection(live_server.address, timeout=5) as conn:
+            for piece in (frame[:6], frame[6:50], frame[50:]):  # the header, then the payload in two
+                conn.sendall(piece)
+                time.sleep(0.05)
+            conn.shutdown(socket.SHUT_WR)
+            reply = b""
+            while chunk := conn.recv(4096):
+                reply += chunk
+        assert decode_auth_response(reply).reason is Reason.OK
+        assert audited_reasons(audit) == ["OK"]
+
     def test_connection_refused(self, card, now):
         with socket.socket() as probe:
             probe.bind(("127.0.0.1", 0))
@@ -353,6 +366,34 @@ class TestBoundedServer:
         assert audited_reasons(audit) == ["MALFORMED_FRAME"] * srv.handler_cap
         assert not [t for t in threading.enumerate() if t.name.startswith("authlab-")]
 
+    def test_close_resets_the_backlog_within_one_deadline(self, server_secrets, now, audit):
+        srv = serve(ServerConfig(server_secrets, ("127.0.0.1", 0)), fixed_clock(now), audit_stream=audit)
+        srv.io_timeout = IO_TIMEOUT
+        conns = []
+        try:
+            for _ in range(2 * srv.handler_cap):
+                conns.append(socket.create_connection(srv.address, timeout=5))
+            time.sleep(0.1)  # every handler holds an idle peer; as many again wait in the backlog
+            start = time.monotonic()
+            srv.close()
+            took = time.monotonic() - start
+        finally:
+            for conn in conns:
+                conn.close()
+            srv.close()
+        assert took < 1.5 * IO_TIMEOUT
+        # the held peers are cut at their deadline; the waiting ones are reset unserved
+        assert audited_reasons(audit) == ["MALFORMED_FRAME"] * srv.handler_cap
+        assert not [t for t in threading.enumerate() if t.name.startswith("authlab-")]
+
+    def test_close_of_an_idle_server_returns_at_once(self, server_secrets, now):
+        srv = serve(ServerConfig(server_secrets, ("127.0.0.1", 0)), fixed_clock(now), audit_stream=io.StringIO())
+        closer = threading.Thread(target=srv.close, daemon=True)  # a lost wake-up must not hold the suite
+        closer.start()
+        closer.join(timeout=0.5)
+        assert not closer.is_alive()
+        assert not [t for t in threading.enumerate() if t.name.startswith("authlab-")]
+
     def test_close_of_a_server_never_started_returns(self, server_secrets, now):
         srv = AuthServer(ServerConfig(server_secrets, ("127.0.0.1", 0)), fixed_clock(now), io.StringIO())
         closer = threading.Thread(target=srv.close, daemon=True)  # a hung close must not hold the suite
@@ -378,3 +419,29 @@ class TestBoundedServer:
         assert sorted(cids) == sorted(make_login_request(card, pw, now).cid.hex() for pw, _ in results)
         handlers = [t for t in threading.enumerate() if t.name.startswith("authlab-handler")]
         assert len(handlers) == live_server.handler_cap
+
+
+class TestClient:
+    def test_trickling_reply_cut_at_timeout(self, card, now):
+        timeout = 0.2
+        reply = encode_auth_response(AuthDecision(True, Reason.OK, hash_bytes(GOLDEN_PW)), 256)
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+
+            def trickle_reply() -> None:
+                conn, _ = listener.accept()
+                with conn:
+                    for byte in reply:  # each byte well inside the timeout, the reply well past it
+                        try:
+                            conn.sendall(bytes([byte]))
+                        except OSError:
+                            return
+                        time.sleep(0.15)
+
+            fake_server = threading.Thread(target=trickle_reply, daemon=True)
+            fake_server.start()
+            start = time.monotonic()
+            with pytest.raises(MalformedResponseError):
+                client_login(listener.getsockname()[:2], card, GOLDEN_PW, fixed_clock(now), timeout=timeout)
+            took = time.monotonic() - start
+            fake_server.join(timeout=5)
+        assert took < timeout + 0.5
