@@ -445,3 +445,4 @@ class TestClient:
             took = time.monotonic() - start
             fake_server.join(timeout=5)
         assert took < timeout + 0.5
+        assert not fake_server.is_alive()  # its next send met the closed client
