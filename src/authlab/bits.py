@@ -54,6 +54,11 @@ class Bits(bytes):
         return Bits((int.from_bytes(self, "big") ^ int.from_bytes(other, "big")).to_bytes(n, "big"))
 
 
+# Bits(value) for a value whose width the caller has just checked: it skips
+# the emptiness check and the Python-level __new__, about half the cost.
+trusted_bits: Callable[[bytes], Bits] = functools.partial(bytes.__new__, Bits)
+
+
 def hash_width(hash_id: str) -> int:
     """Output width in bits of the named hash algorithm."""
     try:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Callable
 
-from authlab.bits import DEFAULT_HASH_ID, MAX_TIMESTAMP, MIN_WIDTH, Bits, hash_bytes, hash_width, hasher
+from authlab.bits import DEFAULT_HASH_ID, MAX_TIMESTAMP, MIN_WIDTH, Bits, hash_bytes, hash_width, hasher, trusted_bits
 
 Password = bytes
 
@@ -81,7 +81,7 @@ class SmartcardState:
             raise ValueError(f"hash {self.hash_id!r} does not produce {self.k}-bit output")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LoginRequest:
     """The login tuple (cid, n_i, c_i, t) sent over the insecure channel."""
 
@@ -92,13 +92,13 @@ class LoginRequest:
 
     def __post_init__(self) -> None:
         if not len(self.cid) == len(self.n_i) == len(self.c_i):
-            widths = {self.cid.width, self.n_i.width, self.c_i.width}
+            widths = {len(f) * 8 for f in (self.cid, self.n_i, self.c_i)}
             raise ValueError(f"request fields must share one width, got {sorted(widths)}")
         if not 0 <= self.t <= MAX_TIMESTAMP:
             raise ValueError(f"timestamp out of 64-bit range: {self.t}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AuthDecision:
     """Accept/reject outcome.
 
@@ -163,7 +163,7 @@ def make_login_request(card: SmartcardState, typed_pw: Password, t: int) -> Logi
     cid = hpw ^ _h(n_y ^ t, hash_id, n, new)
     b = _h(cid ^ hpw, hash_id, n, new)
     c_i = _h(t ^ n_y ^ b, hash_id, n, new)
-    return LoginRequest(cid=Bits(cid.to_bytes(n, "big")), n_i=card.n_i, c_i=Bits(c_i.to_bytes(n, "big")), t=t)
+    return LoginRequest(trusted_bits(cid.to_bytes(n, "big")), card.n_i, trusted_bits(c_i.to_bytes(n, "big")), t)
 
 
 def authenticate(
@@ -203,7 +203,7 @@ def authenticate(
     recovered_hpw = cid ^ _h(n_y ^ req.t, hash_id, n, new)
     b = _h(cid ^ recovered_hpw, hash_id, n, new)
     ok = hmac.compare_digest(_h(req.t ^ n_y ^ b, hash_id, n, new).to_bytes(n, "big"), req.c_i)
-    return AuthDecision(ok, Reason.OK if ok else Reason.CHECK_FAILED, Bits(recovered_hpw.to_bytes(n, "big")))
+    return AuthDecision(ok, Reason.OK if ok else Reason.CHECK_FAILED, trusted_bits(recovered_hpw.to_bytes(n, "big")))
 
 
 def change_password(card: SmartcardState, typed_old_pw: Password, new_pw: Password) -> SmartcardState:

@@ -1,12 +1,13 @@
 import hashlib
 import random
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
 import oracle
 from conftest import GOLDEN_PW, as_bits, as_int, random_bits
 from authlab import (
+    AuthDecision,
     Bits,
     LoginRequest,
     Reason,
@@ -103,6 +104,16 @@ class TestLoginRequest:
         with pytest.raises(ValueError):
             LoginRequest(cid=Bits(b"\x00" * 32), n_i=Bits(b"\x00" * 32), c_i=Bits(b"\x00" * 32), t=-1)
 
+    def test_width_mismatch_of_plain_bytes_raises_value_error(self):
+        # the message is built from the lengths, so plain bytes get it too, not an AttributeError
+        with pytest.raises(ValueError, match=r"one width, got \[64, 128\]"):
+            LoginRequest(b"a" * 8, b"b" * 8, b"c" * 16, 1)
+
+    def test_fields_are_exactly_bits(self, card, now):
+        req = make_login_request(card, GOLDEN_PW, now)
+        assert [type(f) for f in (req.cid, req.n_i, req.c_i)] == [Bits] * 3
+        assert req.cid.width == req.c_i.width == 256
+
     def test_timestamp_outside_64_bits_rejected(self, card):
         for t in (-1, 1 << 64):
             with pytest.raises(ValueError):
@@ -120,7 +131,44 @@ class TestLoginRequest:
                     replace(card, **{field: Bits(bytes(width // 8))})
 
 
+class TestRecords:
+    def test_assignment_raises_frozen_instance_error(self, card, now):
+        req = make_login_request(card, GOLDEN_PW, now)
+        decision = AuthDecision(False, Reason.STALE_TIMESTAMP)
+        for record, field in ((req, "t"), (decision, "accepted")):
+            with pytest.raises(FrozenInstanceError):
+                setattr(record, field, 0)
+
+    def test_replace_builds_a_checked_copy(self, card, now):
+        req = make_login_request(card, GOLDEN_PW, now)
+        assert replace(req, t=now + 1) == LoginRequest(req.cid, req.n_i, req.c_i, now + 1)
+        with pytest.raises(ValueError):
+            replace(req, t=1 << 64)
+        with pytest.raises(ValueError):
+            replace(req, c_i=Bits(bytes(16)))
+        rejected = AuthDecision(False, Reason.CHECK_FAILED, hash_bytes(b"pw"))
+        assert replace(rejected, reason=Reason.STALE_TIMESTAMP).reason is Reason.STALE_TIMESTAMP
+        with pytest.raises(ValueError, match="reason OK"):
+            replace(rejected, accepted=True)
+
+    def test_eq_hash_and_repr_are_by_field(self, card, now):
+        a, b = make_login_request(card, GOLDEN_PW, now), make_login_request(card, GOLDEN_PW, now)
+        assert a == b and hash(a) == hash(b) and a is not b
+        assert repr(a).startswith(f"LoginRequest(cid=Bits.from_hex('{GOLDEN_CID}'), n_i=")
+        decision = AuthDecision(True, Reason.OK, hash_bytes(b"pw"))
+        assert hash(decision) == hash(AuthDecision(True, Reason.OK, hash_bytes(b"pw")))
+        assert repr(decision).startswith("AuthDecision(accepted=True, reason=<Reason.OK: 'OK'>, recovered_hpw=Bits")
+
+
 class TestAuthenticate:
+    def test_recovered_hash_is_exactly_bits(self, card, server_secrets, now):
+        ok = authenticate(server_secrets, make_login_request(card, GOLDEN_PW, now), now)
+        failed = authenticate(server_secrets, replace(make_login_request(card, GOLDEN_PW, now - 1), t=now), now)
+        assert (ok.reason, failed.reason) == (Reason.OK, Reason.CHECK_FAILED)
+        for decision in (ok, failed):
+            assert type(decision.recovered_hpw) is Bits
+            assert decision.recovered_hpw.width == 256
+
     def test_sha512_golden_login(self, now):
         secrets = ServerSecrets(x=Bits.from_hex(GOLDEN_512_X_HEX), y=Bits.from_hex(GOLDEN_512_Y_HEX))
         req = make_login_request(issue_card(GOLDEN_PW, secrets, "sha512"), GOLDEN_PW, now)

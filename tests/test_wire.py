@@ -104,6 +104,11 @@ class TestCodec:
         with pytest.raises(BadTypeError):
             decode_login_request(bytes(frame))
 
+    def test_decoded_fields_are_exactly_bits(self, card, now):
+        req = decode_login_request(encode_login_request(make_login_request(card, GOLDEN_PW, now)))
+        assert [type(f) for f in (req.cid, req.n_i, req.c_i)] == [Bits] * 3
+        assert req.cid.width == req.n_i.width == req.c_i.width == 256
+
     def test_payload_with_no_valid_split_rejected(self):
         with pytest.raises(MalformedFrameError):
             decode_login_request(encode_frame(MSG_LOGIN_REQUEST, b"\x00" * 105))
@@ -135,6 +140,15 @@ class TestResponseCodec:
             assert decoded.recovered_hpw == decision.recovered_hpw
         else:
             assert decoded.recovered_hpw is None
+
+    def test_recovered_hash_is_exactly_bits(self):
+        for decision in (
+            AuthDecision(True, Reason.OK, hash_bytes(b"pw")),
+            AuthDecision(False, Reason.CHECK_FAILED, hash_bytes(b"other")),
+        ):
+            decoded = decode_auth_response(encode_auth_response(decision, 256))
+            assert type(decoded.recovered_hpw) is Bits
+            assert decoded.recovered_hpw.width == 256
 
     def test_zero_fill_when_hash_never_recovered(self):
         encoded = encode_auth_response(AuthDecision(False, Reason.STALE_TIMESTAMP), 256)
@@ -288,6 +302,76 @@ class TestServer:
         host, port = live_server.address
         assert host == "127.0.0.1"
         assert port > 0
+
+
+def exchange(address: tuple[str, int], frame: bytes) -> tuple[str, bytes]:
+    """Send one frame on a fresh connection; the peer as the server names it, and the reply."""
+    with socket.create_connection(address, timeout=5) as conn:
+        peer = "%s:%s" % conn.getsockname()[:2]
+        conn.sendall(frame)
+        conn.shutdown(socket.SHUT_WR)
+        reply = b""
+        while chunk := conn.recv(4096):
+            reply += chunk
+    return peer, reply
+
+
+def ipv6_loopback() -> bool:
+    try:
+        with socket.create_server(("::1", 0), family=socket.AF_INET6):
+            return True
+    except OSError:
+        return False
+
+
+class CountingClock:
+    """A clock that advances one second per read and remembers each reading."""
+
+    def __init__(self, start: int):
+        self.reads = [start - 1]
+        self.lock = threading.Lock()
+
+    def __call__(self) -> int:
+        with self.lock:
+            self.reads.append(self.reads[-1] + 1)
+            return self.reads[-1]
+
+
+class TestAuditLine:
+    @pytest.mark.parametrize("host", ["127.0.0.1", "::1"], ids=["ipv4", "ipv6"])
+    def test_each_reason_is_byte_identical_to_json_dumps(self, host, server_secrets, card, now, audit):
+        if host == "::1" and not ipv6_loopback():
+            pytest.skip("no IPv6 loopback")
+        honest = encode_login_request(make_login_request(card, GOLDEN_PW, now))
+        tampered = honest[:-9] + bytes([honest[-9] ^ 1]) + honest[-8:]  # last byte of c_i
+        cases = [
+            (honest, "accept", "OK"),
+            (encode_login_request(make_login_request(card, GOLDEN_PW, now - 120)), "reject", "STALE_TIMESTAMP"),
+            (encode_login_request(make_login_request(card, GOLDEN_PW, now + 60)), "reject", "FUTURE_TIMESTAMP"),
+            (tampered, "reject", "CHECK_FAILED"),
+            (honest[:-1], "reject", "MALFORMED_FRAME"),
+            (bytes([MSG_AUTH_RESPONSE]) + honest[1:], "reject", "BAD_TYPE"),
+        ]
+        with serve(ServerConfig(server_secrets, (host, 0)), fixed_clock(now), audit_stream=audit) as srv:
+            assert srv.address[0] == host
+            for frame, decision, reason in cases:
+                peer, _ = exchange(srv.address, frame)
+                undecoded = reason in ("MALFORMED_FRAME", "BAD_TYPE")
+                cid_hex = None if undecoded else decode_login_request(frame).cid.hex()
+                line = audit.getvalue().splitlines(keepends=True)[-1]
+                fields = {"ts": now, "peer": peer, "cid_hex": cid_hex, "decision": decision, "reason": reason}
+                assert line == json.dumps(fields) + "\n"
+
+    def test_clock_read_once_per_connection(self, server_secrets, card, now, audit):
+        clock = CountingClock(now)
+        with serve(ServerConfig(server_secrets, ("127.0.0.1", 0)), clock, audit_stream=audit) as srv:
+            honest = encode_login_request(make_login_request(card, GOLDEN_PW, now))
+            for frame, reason in ((honest, "OK"), (honest[:-1], "MALFORMED_FRAME")):
+                before = len(clock.reads)
+                exchange(srv.address, frame)
+                line = json.loads(audit.getvalue().splitlines()[-1])
+                assert len(clock.reads) == before + 1  # the decision and the line share one reading
+                assert (line["ts"], line["reason"]) == (clock.reads[-1], reason)
 
 
 IO_TIMEOUT = 0.5  # a short per-connection deadline keeps the transport tests fast
