@@ -32,6 +32,7 @@ import struct
 import sys
 import threading
 import time
+from json.encoder import encode_basestring_ascii
 from typing import IO
 
 from authlab.bits import MIN_WIDTH, trusted_bits
@@ -260,29 +261,31 @@ class AuthServer:
         try:
             req = decode_login_request(_recv_frame(conn, time.monotonic() + self.io_timeout))
         except BadTypeError:
-            self.audit(peer, None, "reject", "BAD_TYPE")
+            self.audit(self.clock(), peer, None, "reject", "BAD_TYPE")
             return
         except (MalformedFrameError, OSError, ValueError):
-            self.audit(peer, None, "reject", "MALFORMED_FRAME")
+            self.audit(self.clock(), peer, None, "reject", "MALFORMED_FRAME")
             return
         ts = self.clock()  # the receipt time, read once: the decision's t_star and the audit line's ts
         decision = self.config.authenticate(req, ts)
         # audit before replying, so a client that has its verdict can already read the line
-        self.audit(peer, req.cid.hex(), "accept" if decision.accepted else "reject", decision.reason.value, ts)
+        self.audit(ts, peer, req.cid.hex(), "accept" if decision.accepted else "reject", decision.reason.value)
         try:
             conn.sendall(encode_auth_response(decision, self.config.secrets.y.width))
         except OSError:
             pass  # peer went away; the audit line already records the decision
 
-    def audit(self, peer: str, cid_hex: str | None, decision: str, reason: str, ts: int | None = None) -> None:
-        """Write one JSON line for a connection; ts defaults to a fresh clock reading."""
-        if ts is None:
-            ts = self.clock()
+    def audit(self, ts: int, peer: str, cid_hex: str | None, decision: str, reason: str) -> None:
+        """Write one JSON line for a connection, received at clock reading ts."""
         # json.dumps's exact bytes (key order, ", " and ": " separators, null for no cid) at
-        # a fraction of its cost: no field can hold a character JSON escapes, since each is
-        # the clock's int, the kernel's numeric host:port, lowercase hex or a fixed name
+        # a fraction of its cost. Only peer goes through JSON's string escaping: a link-local
+        # IPv6 peer ends in %ifname, and Linux lets a name hold '"', '\\' or non-ASCII. The
+        # other fields are the clock's int, lowercase hex or a fixed name, which JSON never escapes.
         cid = "null" if cid_hex is None else f'"{cid_hex}"'
-        line = f'{{"ts": {ts}, "peer": "{peer}", "cid_hex": {cid}, "decision": "{decision}", "reason": "{reason}"}}\n'
+        line = (
+            f'{{"ts": {ts}, "peer": {encode_basestring_ascii(peer)}, "cid_hex": {cid}, '
+            f'"decision": "{decision}", "reason": "{reason}"}}\n'
+        )
         with self._audit_lock:
             self._audit_stream.write(line)
             self._audit_stream.flush()

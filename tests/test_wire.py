@@ -362,6 +362,14 @@ class TestAuditLine:
                 fields = {"ts": now, "peer": peer, "cid_hex": cid_hex, "decision": decision, "reason": reason}
                 assert line == json.dumps(fields) + "\n"
 
+    @pytest.mark.parametrize("peer", ['fe80::1%e"th:9', "fe80::1%e\\th:9", "fe80::1%éth:9", "fe80::1%e\x01th:9"])
+    def test_escaped_peer_is_byte_identical_to_json_dumps(self, server_secrets, now, audit, peer):
+        # a link-local IPv6 peer carries its interface name, which may hold any of these
+        with serve(ServerConfig(server_secrets, ("127.0.0.1", 0)), fixed_clock(now), audit_stream=audit) as srv:
+            srv.audit(now, peer, None, "reject", "MALFORMED_FRAME")
+        fields = {"ts": now, "peer": peer, "cid_hex": None, "decision": "reject", "reason": "MALFORMED_FRAME"}
+        assert audit.getvalue() == json.dumps(fields) + "\n"
+
     def test_clock_read_once_per_connection(self, server_secrets, card, now, audit):
         clock = CountingClock(now)
         with serve(ServerConfig(server_secrets, ("127.0.0.1", 0)), clock, audit_stream=audit) as srv:

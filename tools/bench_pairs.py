@@ -4,9 +4,9 @@
 
 Exports both revisions with `git archive` into a temporary directory and runs
 `authbench/run.py --workload W --seed S --seconds N` in each, for every
-workload and seeds first-seed .. first-seed+pairs-1, the parent first on odd
-seeds. Then one `--trace 1` run per side and workload on the seed after them.
-The end-to-end metrics and their bounds come from the parent's
+workload and seeds 1 .. 10, the parent first on odd seeds. Then one
+`--trace 1` run per side and workload on seed 11. The workloads, the run
+length N and the end-to-end metrics with their bounds come from the parent's
 BENCHMARK.json. For each metric and side the file holds every run, the
 median and the quartiles; for each metric, the change's median relative to
 the parent's, the parent's IQR/median, and the number of pairs in which the
@@ -29,6 +29,8 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 QUARTILES = "statistics.quantiles(values, n=4, method='inclusive')"
+SEEDS = range(1, 11)  # ten pairs
+TRACE_SEED = 11
 
 
 def export(rev: str, dest: Path) -> str:
@@ -80,36 +82,29 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--parent", required=True, help="git revision of the parent")
     parser.add_argument("--change", required=True, help="git revision of the change")
     parser.add_argument("--out", required=True, type=Path)
-    parser.add_argument("--workloads", default="login-remote,hostile-mix,attack-inproc")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--first-seed", type=int, default=1)
-    parser.add_argument("--seconds", type=int, default=30)
     args = parser.parse_args(argv)
-    if args.pairs < 2:
-        parser.error("--pairs must be at least 2")
-    workloads = args.workloads.split(",")
-    seeds = list(range(args.first_seed, args.first_seed + args.pairs))
-    trace_seed = seeds[-1] + 1
 
     with tempfile.TemporaryDirectory(prefix="bench_pairs-") as tmp:
         checkouts = {side: Path(tmp) / side for side in SIDES}
         shas = {side: export(getattr(args, side), checkouts[side]) for side in SIDES}
-        specs = json.loads((checkouts["parent"] / "BENCHMARK.json").read_text())["end_to_end"]
+        benchmark = json.loads((checkouts["parent"] / "BENCHMARK.json").read_text())
+        workloads = [w["name"] for w in benchmark["workloads"]]
+        seconds = benchmark["run_seconds"]
 
         runs = {w: {side: [] for side in SIDES} for w in workloads}
-        for seed in seeds:
+        for seed in SEEDS:
             for w in workloads:
                 for side in SIDES if seed % 2 else SIDES[::-1]:
-                    runs[w][side].append(bench(checkouts[side], w, seed, args.seconds, 0))
+                    runs[w][side].append(bench(checkouts[side], w, seed, seconds, 0))
                     code, result = runs[w][side][-1]
                     ops = result["metrics"].get("ops_per_s", {}).get("value")
                     print(f"{w} seed {seed} {side}: exit {code}, ops_per_s {ops}", file=sys.stderr, flush=True)
         per_layer = {w: {} for w in workloads}
         for w in workloads:
             for side in SIDES:
-                code, result = bench(checkouts[side], w, trace_seed, args.seconds, 1)
+                code, result = bench(checkouts[side], w, TRACE_SEED, seconds, 1)
                 per_layer[w][side] = {
-                    "git_sha": shas[side], "workload": w, "seed": trace_seed, "exit_code": code,
+                    "git_sha": shas[side], "workload": w, "seed": TRACE_SEED, "exit_code": code,
                     "metrics": {name: m["value"] for name, m in result["metrics"].items()},
                 }
 
@@ -119,14 +114,12 @@ def main(argv: list[str] | None = None) -> int:
     doc = {
         "what": (
             f"End-to-end metrics of authbench/run.py at the parent commit and at the change, from alternating "
-            f"pairs of {args.seconds} s runs per workload (seeds {seeds[0]}-{seeds[-1]}, the parent first on odd "
-            f"seeds), plus one --trace 1 run per side and workload (seed {trace_seed}) for per-layer times."
+            f"pairs of {seconds} s runs per workload (seeds {SEEDS[0]}-{SEEDS[-1]}, the parent first on odd "
+            f"seeds), plus one --trace 1 run per side and workload (seed {TRACE_SEED}) for per-layer times."
         ),
         "commands": [
-            f"python3 tools/bench_pairs.py --parent {args.parent} --change {args.change} --out {args.out.name} "
-            f"--workloads {args.workloads} --pairs {args.pairs} --first-seed {args.first_seed} "
-            f"--seconds {args.seconds}",
-            f"python3 authbench/run.py --workload W --seed N --seconds {args.seconds} [--trace 1]"
+            f"python3 tools/bench_pairs.py --parent {args.parent} --change {args.change} --out {args.out.name}",
+            f"python3 authbench/run.py --workload W --seed N --seconds {seconds} [--trace 1]"
             "   # each run it makes, in a git archive of each side",
         ],
         "quartiles": QUARTILES,
@@ -140,8 +133,8 @@ def main(argv: list[str] | None = None) -> int:
         },
         "workloads": {
             w: {
-                "pairs": args.pairs,
-                "seeds": seeds,
+                "pairs": len(SEEDS),
+                "seeds": list(SEEDS),
                 "exit_codes": {side: column(w, side, lambda code, r: code) for side in SIDES},
                 "failed": {side: column(w, side, lambda code, r: r["failed"]) for side in SIDES},
                 "attempted": {side: column(w, side, lambda code, r: r["attempted"]) for side in SIDES},
@@ -149,7 +142,7 @@ def main(argv: list[str] | None = None) -> int:
                     spec["name"]: compare(
                         spec, *(column(w, side, lambda code, r: r["metrics"][spec["name"]]["value"]) for side in SIDES)
                     )
-                    for spec in specs
+                    for spec in benchmark["end_to_end"]
                 },
             }
             for w in workloads
