@@ -56,7 +56,7 @@ class Bits(bytes):
 
 # Bits(value) for a value whose width the caller has just checked: it skips
 # the emptiness check and the Python-level __new__, about half the cost.
-trusted_bits: Callable[[bytes], Bits] = functools.partial(bytes.__new__, Bits)
+_trusted_bits: Callable[[bytes], Bits] = functools.partial(bytes.__new__, Bits)
 
 
 def hash_width(hash_id: str) -> int:

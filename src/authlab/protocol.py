@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Callable
 
-from authlab.bits import DEFAULT_HASH_ID, MAX_TIMESTAMP, MIN_WIDTH, Bits, hash_bytes, hash_width, hasher, trusted_bits
+from authlab.bits import DEFAULT_HASH_ID, MAX_TIMESTAMP, MIN_WIDTH, Bits, hash_bytes, hash_width, hasher, _trusted_bits
 
 Password = bytes
 
@@ -163,7 +163,7 @@ def make_login_request(card: SmartcardState, typed_pw: Password, t: int) -> Logi
     cid = hpw ^ _h(n_y ^ t, hash_id, n, new)
     b = _h(cid ^ hpw, hash_id, n, new)
     c_i = _h(t ^ n_y ^ b, hash_id, n, new)
-    return LoginRequest(trusted_bits(cid.to_bytes(n, "big")), card.n_i, trusted_bits(c_i.to_bytes(n, "big")), t)
+    return LoginRequest(_trusted_bits(cid.to_bytes(n, "big")), card.n_i, _trusted_bits(c_i.to_bytes(n, "big")), t)
 
 
 def authenticate(
@@ -203,7 +203,7 @@ def authenticate(
     recovered_hpw = cid ^ _h(n_y ^ req.t, hash_id, n, new)
     b = _h(cid ^ recovered_hpw, hash_id, n, new)
     ok = hmac.compare_digest(_h(req.t ^ n_y ^ b, hash_id, n, new).to_bytes(n, "big"), req.c_i)
-    return AuthDecision(ok, Reason.OK if ok else Reason.CHECK_FAILED, trusted_bits(recovered_hpw.to_bytes(n, "big")))
+    return AuthDecision(ok, Reason.OK if ok else Reason.CHECK_FAILED, _trusted_bits(recovered_hpw.to_bytes(n, "big")))
 
 
 def change_password(card: SmartcardState, typed_old_pw: Password, new_pw: Password) -> SmartcardState:

@@ -35,7 +35,7 @@ import time
 from json.encoder import encode_basestring_ascii
 from typing import IO
 
-from authlab.bits import MIN_WIDTH, trusted_bits
+from authlab.bits import MIN_WIDTH, _trusted_bits
 from authlab.clock import Clock, system_clock
 from authlab.protocol import (
     AuthDecision,
@@ -130,7 +130,7 @@ def decode_login_request(data: bytes) -> LoginRequest:
     if n * 8 < MIN_WIDTH:
         raise MalformedFrameError(f"field width {n * 8} bits below 64-bit minimum")
     cid, n_i, c_i, t = payload[:n], payload[n : 2 * n], payload[2 * n : 3 * n], payload[3 * n :]
-    return LoginRequest(trusted_bits(cid), trusted_bits(n_i), trusted_bits(c_i), int.from_bytes(t, "big"))
+    return LoginRequest(_trusted_bits(cid), _trusted_bits(n_i), _trusted_bits(c_i), int.from_bytes(t, "big"))
 
 
 def encode_auth_response(decision: AuthDecision, width: int) -> bytes:
@@ -151,7 +151,7 @@ def decode_auth_response(data: bytes) -> AuthDecision:
     if status not in REASON_BY_STATUS:
         raise MalformedResponseError(f"unknown status byte {status:#04x}")
     reason = REASON_BY_STATUS[status]
-    recovered = trusted_bits(payload[1:]) if reason in (Reason.OK, Reason.CHECK_FAILED) else None
+    recovered = _trusted_bits(payload[1:]) if reason in (Reason.OK, Reason.CHECK_FAILED) else None
     return AuthDecision(accepted=status == 0x00, reason=reason, recovered_hpw=recovered)
 
 

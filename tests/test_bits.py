@@ -3,7 +3,7 @@ import random
 import pytest
 
 from conftest import as_int, random_bits
-from authlab.bits import Bits, embed_timestamp, hash_bits, hash_bytes, hash_width, trusted_bits
+from authlab.bits import Bits, embed_timestamp, hash_bits, hash_bytes, hash_width, _trusted_bits
 
 # FIPS 180 test vectors, frozen from the standard rather than recomputed
 SHA256_EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
@@ -122,7 +122,7 @@ def test_embed_timestamp_rejects_out_of_range():
 
 
 def test_trusted_bits_is_an_unchecked_bits():
-    value = trusted_bits(bytes(range(32)))
+    value = _trusted_bits(bytes(range(32)))
     assert type(value) is Bits
     assert value == Bits(bytes(range(32))) and value.width == 256
     assert value ^ value == Bits.zeros(256)
