@@ -101,8 +101,10 @@ def run_random_password_attack(
 
     Deterministic given (seed, clock): passwords come from a seeded PRNG and
     every timestamp from the injected clock. `submit` defaults to building the
-    request and authenticating in-process with a fresh receipt time. The card
-    is never modified; `scenario` only tags the report.
+    request and authenticating in-process with a fresh receipt time, under
+    `window_secs`, the card's `hash_id` and the default skew; a caller with a
+    whole server policy (`cmd_attack`) passes a `submit` that uses it. The
+    card is never modified; `scenario` only tags the report.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")

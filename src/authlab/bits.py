@@ -7,7 +7,6 @@ import hashlib
 from typing import Any, Callable
 
 DEFAULT_HASH_ID = "sha256"
-DEFAULT_WIDTH = 256
 
 # Timestamps embed as a 64-bit field, so narrower protocol widths are unusable.
 MIN_WIDTH = 64
@@ -21,11 +20,11 @@ class Bits(bytes):
     match and refuses plain bytes.
     """
 
-    def __new__(cls, value: bytes) -> Bits:
-        self = super().__new__(cls, value)
+    # The check runs in __init__, after bytes' own C-level __new__ has built the
+    # value: a Python __new__ calling super().__new__ costs about twice as much.
+    def __init__(self, value: bytes) -> None:
         if not self:
             raise ValueError("Bits value must be non-empty")
-        return self
 
     @property
     def width(self) -> int:
@@ -52,11 +51,6 @@ class Bits(bytes):
         if n != len(other):
             raise ValueError(f"width mismatch: {self.width} != {other.width}")
         return Bits((int.from_bytes(self, "big") ^ int.from_bytes(other, "big")).to_bytes(n, "big"))
-
-
-# Bits(value) for a value whose width the caller has just checked: it skips
-# the emptiness check and the Python-level __new__, about half the cost.
-_trusted_bits: Callable[[bytes], Bits] = functools.partial(bytes.__new__, Bits)
 
 
 def hash_width(hash_id: str) -> int:
@@ -90,7 +84,7 @@ def hash_bytes(data: bytes, hash_id: str = DEFAULT_HASH_ID) -> Bits:
 hash_bits = hash_bytes
 
 
-def embed_timestamp(t: int, width: int = DEFAULT_WIDTH) -> Bits:
+def embed_timestamp(t: int, width: int) -> Bits:
     """Embed epoch seconds as a 64-bit big-endian field, zero-padded to width.
 
     Injective over 0 <= t < 2**64; anything outside is rejected.

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Callable
 
-from authlab.bits import DEFAULT_HASH_ID, MAX_TIMESTAMP, MIN_WIDTH, Bits, hash_bytes, hash_width, hasher, _trusted_bits
+from authlab.bits import DEFAULT_HASH_ID, MAX_TIMESTAMP, MIN_WIDTH, Bits, hash_bytes, hash_width, hasher
 
 Password = bytes
 
@@ -40,6 +40,9 @@ class Reason(Enum):
     STALE_TIMESTAMP = "STALE_TIMESTAMP"
     FUTURE_TIMESTAMP = "FUTURE_TIMESTAMP"
     CHECK_FAILED = "CHECK_FAILED"
+
+
+_OK = Reason.OK  # a module global is cheaper to read than an Enum member, and accepted runs per trial
 
 
 @dataclass(frozen=True)
@@ -100,20 +103,19 @@ class LoginRequest:
 
 @dataclass(frozen=True, slots=True)
 class AuthDecision:
-    """Accept/reject outcome.
+    """Outcome of authentication: the reason, which is OK exactly when accepted.
 
     recovered_hpw is the password hash the server unblinded from the request;
     it is only present on paths that got far enough to compute it, and is
     surfaced purely for audit and testing.
     """
 
-    accepted: bool
     reason: Reason
     recovered_hpw: Bits | None = None
 
-    def __post_init__(self) -> None:
-        if self.accepted and self.reason is not Reason.OK:
-            raise ValueError("accepted decisions must carry reason OK")
+    @property
+    def accepted(self) -> bool:
+        return self.reason is _OK
 
 
 def register_user(pw: Password, secrets: ServerSecrets, hash_id: str = DEFAULT_HASH_ID) -> Bits:
@@ -163,7 +165,7 @@ def make_login_request(card: SmartcardState, typed_pw: Password, t: int) -> Logi
     cid = hpw ^ _h(n_y ^ t, hash_id, n, new)
     b = _h(cid ^ hpw, hash_id, n, new)
     c_i = _h(t ^ n_y ^ b, hash_id, n, new)
-    return LoginRequest(_trusted_bits(cid.to_bytes(n, "big")), card.n_i, _trusted_bits(c_i.to_bytes(n, "big")), t)
+    return LoginRequest(Bits(cid.to_bytes(n, "big")), card.n_i, Bits(c_i.to_bytes(n, "big")), t)
 
 
 def authenticate(
@@ -190,11 +192,11 @@ def authenticate(
         raise ValueError(f"window_secs must be positive, got {window_secs}")
     n = len(secrets.y)
     if len(req.cid) != n:
-        return AuthDecision(accepted=False, reason=Reason.CHECK_FAILED)
+        return AuthDecision(Reason.CHECK_FAILED)
     if t_star - req.t > window_secs:
-        return AuthDecision(accepted=False, reason=Reason.STALE_TIMESTAMP)
+        return AuthDecision(Reason.STALE_TIMESTAMP)
     if req.t - t_star > skew_secs:
-        return AuthDecision(accepted=False, reason=Reason.FUTURE_TIMESTAMP)
+        return AuthDecision(Reason.FUTURE_TIMESTAMP)
     if n * 8 < MIN_WIDTH:
         raise ValueError(f"width must be at least {MIN_WIDTH} bits, got {n * 8}")
     new = hasher(hash_id)
@@ -203,7 +205,7 @@ def authenticate(
     recovered_hpw = cid ^ _h(n_y ^ req.t, hash_id, n, new)
     b = _h(cid ^ recovered_hpw, hash_id, n, new)
     ok = hmac.compare_digest(_h(req.t ^ n_y ^ b, hash_id, n, new).to_bytes(n, "big"), req.c_i)
-    return AuthDecision(ok, Reason.OK if ok else Reason.CHECK_FAILED, _trusted_bits(recovered_hpw.to_bytes(n, "big")))
+    return AuthDecision(Reason.OK if ok else Reason.CHECK_FAILED, Bits(recovered_hpw.to_bytes(n, "big")))
 
 
 def change_password(card: SmartcardState, typed_old_pw: Password, new_pw: Password) -> SmartcardState:

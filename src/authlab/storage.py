@@ -159,7 +159,11 @@ def parse_address(text: str) -> tuple[str, int]:
     host, sep, port_text = text.rpartition(":")
     if not sep or not host:
         raise ValueError(f"address must be host:port, got {text!r}")
-    return host, _check_port(int(port_text))
+    try:
+        port = int(port_text)
+    except ValueError:
+        raise ValueError(f"port must be an integer, got {port_text!r}") from None
+    return host, _check_port(port)
 
 
 def load_server_config(path: str | Path) -> ServerConfig:
@@ -170,15 +174,10 @@ def load_server_config(path: str | Path) -> ServerConfig:
         bind_address = parse_address(doc.get("bind_address", "127.0.0.1:0"))
     except (TypeError, ValueError, AttributeError) as exc:
         raise ConfigError(f"bad bind_address: {exc}") from exc
+    # only the keys the document holds: the defaults live on ServerConfig alone
+    policy = {key: doc[key] for key in ("window_secs", "skew_secs", "hash_id", "audit_path") if key in doc}
     try:
-        return ServerConfig(
-            secrets=ServerSecrets(x=x, y=y),
-            bind_address=bind_address,
-            window_secs=doc.get("window_secs", DEFAULT_WINDOW_SECS),
-            skew_secs=doc.get("skew_secs", DEFAULT_SKEW_SECS),
-            hash_id=doc.get("hash_id", DEFAULT_HASH_ID),
-            audit_path=doc.get("audit_path"),
-        )
+        return ServerConfig(secrets=ServerSecrets(x=x, y=y), bind_address=bind_address, **policy)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 

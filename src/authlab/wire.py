@@ -35,7 +35,7 @@ import time
 from json.encoder import encode_basestring_ascii
 from typing import IO
 
-from authlab.bits import MIN_WIDTH, _trusted_bits
+from authlab.bits import MIN_WIDTH, Bits
 from authlab.clock import Clock, system_clock
 from authlab.protocol import (
     AuthDecision,
@@ -130,7 +130,7 @@ def decode_login_request(data: bytes) -> LoginRequest:
     if n * 8 < MIN_WIDTH:
         raise MalformedFrameError(f"field width {n * 8} bits below 64-bit minimum")
     cid, n_i, c_i, t = payload[:n], payload[n : 2 * n], payload[2 * n : 3 * n], payload[3 * n :]
-    return LoginRequest(_trusted_bits(cid), _trusted_bits(n_i), _trusted_bits(c_i), int.from_bytes(t, "big"))
+    return LoginRequest(Bits(cid), Bits(n_i), Bits(c_i), int.from_bytes(t, "big"))
 
 
 def encode_auth_response(decision: AuthDecision, width: int) -> bytes:
@@ -151,8 +151,8 @@ def decode_auth_response(data: bytes) -> AuthDecision:
     if status not in REASON_BY_STATUS:
         raise MalformedResponseError(f"unknown status byte {status:#04x}")
     reason = REASON_BY_STATUS[status]
-    recovered = _trusted_bits(payload[1:]) if reason in (Reason.OK, Reason.CHECK_FAILED) else None
-    return AuthDecision(accepted=status == 0x00, reason=reason, recovered_hpw=recovered)
+    recovered = Bits(payload[1:]) if reason in (Reason.OK, Reason.CHECK_FAILED) else None
+    return AuthDecision(reason, recovered)
 
 
 def _recv_frame(conn: socket.socket, deadline: float) -> bytes:
@@ -261,27 +261,29 @@ class AuthServer:
         try:
             req = decode_login_request(_recv_frame(conn, time.monotonic() + self.io_timeout))
         except BadTypeError:
-            self.audit(self.clock(), peer, None, "reject", "BAD_TYPE")
+            self.audit(self.clock(), peer, None, "BAD_TYPE")
             return
         except (MalformedFrameError, OSError, ValueError):
-            self.audit(self.clock(), peer, None, "reject", "MALFORMED_FRAME")
+            self.audit(self.clock(), peer, None, "MALFORMED_FRAME")
             return
         ts = self.clock()  # the receipt time, read once: the decision's t_star and the audit line's ts
         decision = self.config.authenticate(req, ts)
         # audit before replying, so a client that has its verdict can already read the line
-        self.audit(ts, peer, req.cid.hex(), "accept" if decision.accepted else "reject", decision.reason.value)
+        self.audit(ts, peer, req.cid.hex(), decision.reason.value)
         try:
             conn.sendall(encode_auth_response(decision, self.config.secrets.y.width))
         except OSError:
             pass  # peer went away; the audit line already records the decision
 
-    def audit(self, ts: int, peer: str, cid_hex: str | None, decision: str, reason: str) -> None:
-        """Write one JSON line for a connection, received at clock reading ts."""
+    def audit(self, ts: int, peer: str, cid_hex: str | None, reason: str) -> None:
+        """Write one JSON line for a connection, received at clock reading ts; its
+        decision is "accept" exactly when the reason is "OK"."""
         # json.dumps's exact bytes (key order, ", " and ": " separators, null for no cid) at
         # a fraction of its cost. Only peer goes through JSON's string escaping: a link-local
         # IPv6 peer ends in %ifname, and Linux lets a name hold '"', '\\' or non-ASCII. The
         # other fields are the clock's int, lowercase hex or a fixed name, which JSON never escapes.
         cid = "null" if cid_hex is None else f'"{cid_hex}"'
+        decision = "accept" if reason == "OK" else "reject"
         line = (
             f'{{"ts": {ts}, "peer": {encode_basestring_ascii(peer)}, "cid_hex": {cid}, '
             f'"decision": "{decision}", "reason": "{reason}"}}\n'

@@ -56,7 +56,7 @@ def make_strawman(secrets: ServerSecrets, real_pw: bytes):
     def verify(req, t_star, window_secs=60):
         decision = authenticate(secrets, req, t_star, window_secs)
         if decision.accepted and decision.recovered_hpw != stored_hpw:
-            return AuthDecision(False, Reason.CHECK_FAILED, decision.recovered_hpw)
+            return AuthDecision(Reason.CHECK_FAILED, decision.recovered_hpw)
         return decision
 
     return verify

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from conftest import as_int, random_bits
-from authlab.bits import Bits, embed_timestamp, hash_bits, hash_bytes, hash_width, _trusted_bits
+from authlab.bits import Bits, embed_timestamp, hash_bits, hash_bytes, hash_width
 
 # FIPS 180 test vectors, frozen from the standard rather than recomputed
 SHA256_EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
@@ -84,6 +84,8 @@ def test_xor_width_mismatch_rejected():
 def test_bits_must_be_non_empty():
     with pytest.raises(ValueError):
         Bits(b"")
+    with pytest.raises(ValueError):
+        Bits.from_hex("")
 
 
 def test_zeros_validates_width():
@@ -119,10 +121,3 @@ def test_embed_timestamp_rejects_out_of_range():
         embed_timestamp(1 << 64, 256)
     with pytest.raises(ValueError):
         embed_timestamp(0, 32)  # narrower than the 64-bit field
-
-
-def test_trusted_bits_is_an_unchecked_bits():
-    value = _trusted_bits(bytes(range(32)))
-    assert type(value) is Bits
-    assert value == Bits(bytes(range(32))) and value.width == 256
-    assert value ^ value == Bits.zeros(256)

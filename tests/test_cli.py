@@ -327,6 +327,27 @@ class TestServeCommand:
         assert "bad server config" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, address, message",
+    [
+        ("login", "nonsense", "address must be host:port, got 'nonsense'"),
+        ("login", "127.0.0.1:99999", "port must be in 0..65535, got 99999"),
+        ("login", "127.0.0.1:x", "port must be an integer, got 'x'"),
+        ("attack", "127.0.0.1:x", "port must be an integer, got 'x'"),
+    ],
+)
+def test_bad_address_exits_2_with_one_diagnostic(card_path, config_path, fake_now, capsys, command, address, message):
+    if command == "login":
+        argv = ["login", "--card", str(card_path), "--password", PW, "--server", address]
+    else:
+        argv = ["attack", "--card", str(card_path), "--config", str(config_path), "--trials", "2", "--remote", address]
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err == f"authlab: {message}\n"
+
+
 def test_help_exits_0(capsys):
     assert main(["--help"]) == 0
     assert "register" in capsys.readouterr().out

@@ -134,8 +134,8 @@ class TestLoginRequest:
 class TestRecords:
     def test_assignment_raises_frozen_instance_error(self, card, now):
         req = make_login_request(card, GOLDEN_PW, now)
-        decision = AuthDecision(False, Reason.STALE_TIMESTAMP)
-        for record, field in ((req, "t"), (decision, "accepted")):
+        decision = AuthDecision(Reason.STALE_TIMESTAMP)
+        for record, field in ((req, "t"), (decision, "reason")):
             with pytest.raises(FrozenInstanceError):
                 setattr(record, field, 0)
 
@@ -146,18 +146,18 @@ class TestRecords:
             replace(req, t=1 << 64)
         with pytest.raises(ValueError):
             replace(req, c_i=Bits(bytes(16)))
-        rejected = AuthDecision(False, Reason.CHECK_FAILED, hash_bytes(b"pw"))
+        rejected = AuthDecision(Reason.CHECK_FAILED, hash_bytes(b"pw"))
         assert replace(rejected, reason=Reason.STALE_TIMESTAMP).reason is Reason.STALE_TIMESTAMP
-        with pytest.raises(ValueError, match="reason OK"):
+        with pytest.raises(TypeError, match="accepted"):  # not a field: it follows from the reason
             replace(rejected, accepted=True)
 
     def test_eq_hash_and_repr_are_by_field(self, card, now):
         a, b = make_login_request(card, GOLDEN_PW, now), make_login_request(card, GOLDEN_PW, now)
         assert a == b and hash(a) == hash(b) and a is not b
         assert repr(a).startswith(f"LoginRequest(cid=Bits.from_hex('{GOLDEN_CID}'), n_i=")
-        decision = AuthDecision(True, Reason.OK, hash_bytes(b"pw"))
-        assert hash(decision) == hash(AuthDecision(True, Reason.OK, hash_bytes(b"pw")))
-        assert repr(decision).startswith("AuthDecision(accepted=True, reason=<Reason.OK: 'OK'>, recovered_hpw=Bits")
+        decision = AuthDecision(Reason.OK, hash_bytes(b"pw"))
+        assert hash(decision) == hash(AuthDecision(Reason.OK, hash_bytes(b"pw")))
+        assert repr(decision).startswith("AuthDecision(reason=<Reason.OK: 'OK'>, recovered_hpw=Bits")
 
 
 class TestAuthenticate:

@@ -125,10 +125,10 @@ class TestResponseCodec:
     @pytest.mark.parametrize(
         "decision",
         [
-            AuthDecision(True, Reason.OK, hash_bytes(b"pw")),
-            AuthDecision(False, Reason.STALE_TIMESTAMP),
-            AuthDecision(False, Reason.FUTURE_TIMESTAMP),
-            AuthDecision(False, Reason.CHECK_FAILED, hash_bytes(b"other")),
+            AuthDecision(Reason.OK, hash_bytes(b"pw")),
+            AuthDecision(Reason.STALE_TIMESTAMP),
+            AuthDecision(Reason.FUTURE_TIMESTAMP),
+            AuthDecision(Reason.CHECK_FAILED, hash_bytes(b"other")),
         ],
     )
     def test_round_trip(self, decision):
@@ -143,15 +143,15 @@ class TestResponseCodec:
 
     def test_recovered_hash_is_exactly_bits(self):
         for decision in (
-            AuthDecision(True, Reason.OK, hash_bytes(b"pw")),
-            AuthDecision(False, Reason.CHECK_FAILED, hash_bytes(b"other")),
+            AuthDecision(Reason.OK, hash_bytes(b"pw")),
+            AuthDecision(Reason.CHECK_FAILED, hash_bytes(b"other")),
         ):
             decoded = decode_auth_response(encode_auth_response(decision, 256))
             assert type(decoded.recovered_hpw) is Bits
             assert decoded.recovered_hpw.width == 256
 
     def test_zero_fill_when_hash_never_recovered(self):
-        encoded = encode_auth_response(AuthDecision(False, Reason.STALE_TIMESTAMP), 256)
+        encoded = encode_auth_response(AuthDecision(Reason.STALE_TIMESTAMP), 256)
         _, payload = decode_frame(encoded)
         assert payload == b"\x01" + bytes(32)
 
@@ -366,7 +366,7 @@ class TestAuditLine:
     def test_escaped_peer_is_byte_identical_to_json_dumps(self, server_secrets, now, audit, peer):
         # a link-local IPv6 peer carries its interface name, which may hold any of these
         with serve(ServerConfig(server_secrets, ("127.0.0.1", 0)), fixed_clock(now), audit_stream=audit) as srv:
-            srv.audit(now, peer, None, "reject", "MALFORMED_FRAME")
+            srv.audit(now, peer, None, "MALFORMED_FRAME")
         fields = {"ts": now, "peer": peer, "cid_hex": None, "decision": "reject", "reason": "MALFORMED_FRAME"}
         assert audit.getvalue() == json.dumps(fields) + "\n"
 
@@ -516,7 +516,7 @@ class TestBoundedServer:
 class TestClient:
     def test_trickling_reply_cut_at_timeout(self, card, now):
         timeout = 0.2
-        reply = encode_auth_response(AuthDecision(True, Reason.OK, hash_bytes(GOLDEN_PW)), 256)
+        reply = encode_auth_response(AuthDecision(Reason.OK, hash_bytes(GOLDEN_PW)), 256)
         with socket.create_server(("127.0.0.1", 0)) as listener:
 
             def trickle_reply() -> None:

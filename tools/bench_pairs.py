@@ -12,6 +12,10 @@ median and the quartiles; for each metric, the change's median relative to
 the parent's, the parent's IQR/median, and the number of pairs in which the
 change reads better (ties count for neither side). Stdlib only; runs one
 benchmark process at a time.
+
+A run that prints no result line stops the tool: it writes the runs made so
+far, that run's command, exit code and stderr tail, to the output file and
+exits 1.
 """
 
 from __future__ import annotations
@@ -31,6 +35,11 @@ SIDES = ("parent", "change")
 QUARTILES = "statistics.quantiles(values, n=4, method='inclusive')"
 SEEDS = range(1, 11)  # ten pairs
 TRACE_SEED = 11
+STDERR_TAIL = 4000  # characters of a failed run's stderr kept in the output file
+
+
+class NoResult(Exception):
+    """A benchmark run that printed no result line; args[0] describes it."""
 
 
 def export(rev: str, dest: Path) -> str:
@@ -52,7 +61,8 @@ def bench(checkout: Path, workload: str, seed: int, seconds: int, trace: int) ->
     done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     lines = done.stdout.strip().splitlines()
     if not lines:
-        sys.exit(f"bench_pairs: {' '.join(cmd)} in {checkout} printed no result:\n{done.stderr}")
+        raise NoResult({"command": " ".join(cmd), "side": checkout.name, "exit_code": done.returncode,
+                        "stderr_tail": done.stderr[-STDERR_TAIL:]})
     return done.returncode, json.loads(lines[-1])
 
 
@@ -90,23 +100,47 @@ def main(argv: list[str] | None = None) -> int:
         benchmark = json.loads((checkouts["parent"] / "BENCHMARK.json").read_text())
         workloads = [w["name"] for w in benchmark["workloads"]]
         seconds = benchmark["run_seconds"]
+        env = {
+            "python": platform.python_version(),
+            "nproc": os.cpu_count(),
+            "parent_sha": shas["parent"],
+            "change_sha": shas["change"],
+            "host": f"{platform.system()} {platform.machine()}",
+        }
 
         runs = {w: {side: [] for side in SIDES} for w in workloads}
-        for seed in SEEDS:
-            for w in workloads:
-                for side in SIDES if seed % 2 else SIDES[::-1]:
-                    runs[w][side].append(bench(checkouts[side], w, seed, seconds, 0))
-                    code, result = runs[w][side][-1]
-                    ops = result["metrics"].get("ops_per_s", {}).get("value")
-                    print(f"{w} seed {seed} {side}: exit {code}, ops_per_s {ops}", file=sys.stderr, flush=True)
         per_layer = {w: {} for w in workloads}
-        for w in workloads:
-            for side in SIDES:
-                code, result = bench(checkouts[side], w, TRACE_SEED, seconds, 1)
-                per_layer[w][side] = {
-                    "git_sha": shas[side], "workload": w, "seed": TRACE_SEED, "exit_code": code,
-                    "metrics": {name: m["value"] for name, m in result["metrics"].items()},
-                }
+        try:
+            for seed in SEEDS:
+                for w in workloads:
+                    for side in SIDES if seed % 2 else SIDES[::-1]:
+                        runs[w][side].append(bench(checkouts[side], w, seed, seconds, 0))
+                        code, result = runs[w][side][-1]
+                        ops = result["metrics"].get("ops_per_s", {}).get("value")
+                        print(f"{w} seed {seed} {side}: exit {code}, ops_per_s {ops}", file=sys.stderr, flush=True)
+            for w in workloads:
+                for side in SIDES:
+                    code, result = bench(checkouts[side], w, TRACE_SEED, seconds, 1)
+                    per_layer[w][side] = {
+                        "git_sha": shas[side], "workload": w, "seed": TRACE_SEED, "exit_code": code,
+                        "metrics": {name: m["value"] for name, m in result["metrics"].items()},
+                    }
+        except NoResult as exc:
+            partial = {
+                "what": "Incomplete: a run printed no result line, so nothing is summarised; the runs before it follow.",
+                "env": env,
+                "failed_run": exc.args[0],
+                "runs": {
+                    w: {side: [{"seed": seed, "exit_code": code, "result": result}
+                               for seed, (code, result) in zip(SEEDS, runs[w][side])] for side in SIDES}
+                    for w in workloads
+                },
+                "per_layer": per_layer,
+            }
+            args.out.write_text(json.dumps(partial, indent=1) + "\n")
+            print(f"bench_pairs: {exc.args[0]['command']} ({exc.args[0]['side']}) printed no result; "
+                  f"the runs so far are in {args.out}", file=sys.stderr)
+            return 1
 
     def column(w: str, side: str, key) -> list:
         return [key(code, result) for code, result in runs[w][side]]
@@ -124,13 +158,7 @@ def main(argv: list[str] | None = None) -> int:
         ],
         "quartiles": QUARTILES,
         "notes": [],
-        "env": {
-            "python": platform.python_version(),
-            "nproc": os.cpu_count(),
-            "parent_sha": shas["parent"],
-            "change_sha": shas["change"],
-            "host": f"{platform.system()} {platform.machine()}",
-        },
+        "env": env,
         "workloads": {
             w: {
                 "pairs": len(SEEDS),
