@@ -32,12 +32,6 @@ class Bits(bytes):
         return len(self) * 8
 
     @classmethod
-    def zeros(cls, width: int) -> Bits:
-        if width <= 0 or width % 8:
-            raise ValueError(f"width must be a positive multiple of 8, got {width}")
-        return cls(bytes(width // 8))
-
-    @classmethod
     def from_hex(cls, text: str) -> Bits:
         return cls(bytes.fromhex(text))
 
@@ -53,31 +47,34 @@ class Bits(bytes):
         return Bits((int.from_bytes(self, "big") ^ int.from_bytes(other, "big")).to_bytes(n, "big"))
 
 
-def hash_width(hash_id: str) -> int:
-    """Output width in bits of the named hash algorithm."""
+@functools.cache
+def hasher(hash_id: str) -> tuple[Callable[[bytes], Any], int]:
+    """The constructor for hash_id and its digest size in bytes, looked up once
+    per id. A guaranteed name gets hashlib's named constructor, which skips the
+    generic dispatch (a third of the cost of hashing 32 bytes); an OpenSSL-only
+    name such as "sha512_256" goes through the generic one."""
+    guaranteed = hash_id in hashlib.algorithms_guaranteed
+    new = getattr(hashlib, hash_id) if guaranteed else functools.partial(hashlib.new, hash_id)
     try:
-        digest_size = hashlib.new(hash_id).digest_size
-    except (ValueError, TypeError) as exc:
+        digest_size = new().digest_size
+    except (ValueError, TypeError) as exc:  # a name with a NUL in it raises TypeError
         raise ValueError(f"unknown hash algorithm {hash_id!r}") from exc
     if digest_size == 0:
         raise ValueError(f"hash algorithm {hash_id!r} has no fixed output width")
-    return digest_size * 8
+    return new, digest_size
 
 
-@functools.cache
-def hasher(hash_id: str) -> Callable[[bytes], Any]:
-    """The constructor for hash_id, looked up once per id: hashlib's named one
-    for the guaranteed names, hashlib.new for OpenSSL-only names such as
-    "SHA256" or "sha512_256". The named one skips hashlib.new's Python-level
-    dispatch, about a third of the cost of hashing 32 bytes."""
-    if hash_id in hashlib.algorithms_guaranteed:
-        return getattr(hashlib, hash_id)
-    return functools.partial(hashlib.new, hash_id)
+def hash_width(hash_id: str) -> int:
+    """Output width in bits of the named hash algorithm."""
+    # a config's JSON hash_id can be a list, which the cached lookup would refuse with TypeError
+    if not isinstance(hash_id, str):
+        raise ValueError(f"unknown hash algorithm {hash_id!r}")
+    return hasher(hash_id)[1] * 8
 
 
 def hash_bytes(data: bytes, hash_id: str = DEFAULT_HASH_ID) -> Bits:
     """One-way hash of a byte string, a Bits value included, as a digest-width value."""
-    return Bits(hasher(hash_id)(data).digest())
+    return Bits(hasher(hash_id)[0](data).digest())
 
 
 # The one hash function; this name stays only because authbench/run.py and the tests import it.

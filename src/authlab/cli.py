@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import getpass
 import json
+import signal
 import sys
 import time
 
@@ -97,8 +98,11 @@ def cmd_serve(args: argparse.Namespace, clock: Clock) -> int:
         return EXIT_BIND_FAILURE
 
     # announce inside the try: an interrupt that follows the announcement at
-    # once must still close the handle, or its thread keeps the process alive
+    # once must still close the handle, or its thread keeps the process alive;
+    # SIGTERM and a SIGINT inherited as ignored (a background job's) end here too
     try:
+        for signum in (signal.SIGINT, signal.SIGTERM):
+            signal.signal(signum, signal.default_int_handler)
         _emit({"listening": "%s:%d" % handle.address})
         while True:
             time.sleep(1)

@@ -59,6 +59,8 @@ class ServerSecrets:
     def __post_init__(self) -> None:
         if self.x.width != self.y.width:
             raise ValueError(f"secret widths differ: x={self.x.width}, y={self.y.width}")
+        if self.y.width < MIN_WIDTH:  # the timestamp is XORed in as a 64-bit field
+            raise ValueError(f"width must be at least {MIN_WIDTH} bits, got {self.y.width}")
 
 
 @dataclass(frozen=True)
@@ -137,12 +139,9 @@ def issue_card(pw: Password, secrets: ServerSecrets, hash_id: str = DEFAULT_HASH
     return SmartcardState(n_i=n_i, y=secrets.y, hash_id=hash_id, k=n_i.width)
 
 
-def _h(v: int, hash_id: str, n: int, new: Callable[[bytes], Any]) -> int:
-    """h() of the n-byte big-endian value v, as an int; new is hasher(hash_id)."""
-    digest = new(v.to_bytes(n, "big")).digest()
-    if len(digest) != n:
-        raise ValueError(f"width mismatch: {hash_id} gives {len(digest) * 8} bits, not {n * 8}")
-    return int.from_bytes(digest, "big")
+def _h(v: int, n: int, new: Callable[[bytes], Any]) -> int:
+    """h() of the n-byte big-endian value v, as an int; new gives n-byte digests."""
+    return int.from_bytes(new(v.to_bytes(n, "big")).digest(), "big")
 
 
 def make_login_request(card: SmartcardState, typed_pw: Password, t: int) -> LoginRequest:
@@ -158,13 +157,12 @@ def make_login_request(card: SmartcardState, typed_pw: Password, t: int) -> Logi
     """
     if not 0 <= t <= MAX_TIMESTAMP:
         raise ValueError(f"timestamp out of 64-bit range: {t}")
-    hash_id, n = card.hash_id, card.k // 8
-    new = hasher(hash_id)
+    new, n = hasher(card.hash_id)  # the card checked that its hash gives k bits
     n_y = int.from_bytes(card.n_i, "big") ^ int.from_bytes(card.y, "big")
     hpw = int.from_bytes(new(typed_pw).digest(), "big")
-    cid = hpw ^ _h(n_y ^ t, hash_id, n, new)
-    b = _h(cid ^ hpw, hash_id, n, new)
-    c_i = _h(t ^ n_y ^ b, hash_id, n, new)
+    cid = hpw ^ _h(n_y ^ t, n, new)
+    b = _h(cid ^ hpw, n, new)
+    c_i = _h(t ^ n_y ^ b, n, new)
     return LoginRequest(Bits(cid.to_bytes(n, "big")), card.n_i, Bits(c_i.to_bytes(n, "big")), t)
 
 
@@ -197,14 +195,14 @@ def authenticate(
         return AuthDecision(Reason.STALE_TIMESTAMP)
     if req.t - t_star > skew_secs:
         return AuthDecision(Reason.FUTURE_TIMESTAMP)
-    if n * 8 < MIN_WIDTH:
-        raise ValueError(f"width must be at least {MIN_WIDTH} bits, got {n * 8}")
-    new = hasher(hash_id)
+    new, digest_size = hasher(hash_id)
+    if digest_size != n:
+        raise ValueError(f"width mismatch: {hash_id} gives {digest_size * 8} bits, not {n * 8}")
     cid = int.from_bytes(req.cid, "big")
     n_y = int.from_bytes(req.n_i, "big") ^ int.from_bytes(secrets.y, "big")
-    recovered_hpw = cid ^ _h(n_y ^ req.t, hash_id, n, new)
-    b = _h(cid ^ recovered_hpw, hash_id, n, new)
-    ok = hmac.compare_digest(_h(req.t ^ n_y ^ b, hash_id, n, new).to_bytes(n, "big"), req.c_i)
+    recovered_hpw = cid ^ _h(n_y ^ req.t, n, new)
+    b = _h(cid ^ recovered_hpw, n, new)
+    ok = hmac.compare_digest(_h(req.t ^ n_y ^ b, n, new).to_bytes(n, "big"), req.c_i)
     return AuthDecision(Reason.OK if ok else Reason.CHECK_FAILED, Bits(recovered_hpw.to_bytes(n, "big")))
 
 

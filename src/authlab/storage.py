@@ -159,11 +159,10 @@ def parse_address(text: str) -> tuple[str, int]:
     host, sep, port_text = text.rpartition(":")
     if not sep or not host:
         raise ValueError(f"address must be host:port, got {text!r}")
-    try:
-        port = int(port_text)
-    except ValueError:
-        raise ValueError(f"port must be an integer, got {port_text!r}") from None
-    return host, _check_port(port)
+    # ASCII digits only: int() would also take spaces, "+", "_" and other scripts' digits
+    if not (port_text.isascii() and port_text.isdigit()):
+        raise ValueError(f"port must be an integer, got {port_text!r}")
+    return host, _check_port(int(port_text))
 
 
 def load_server_config(path: str | Path) -> ServerConfig:

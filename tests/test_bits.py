@@ -56,7 +56,7 @@ XOR_WIDTHS = (64, 256, 512)
 def test_xor_algebra():
     rng = random.Random(2)
     for width in XOR_WIDTHS:
-        zeros = Bits.zeros(width)
+        zeros = Bits(bytes(width // 8))
         for _ in range(200):
             a, b, c = (random_bits(rng, width) for _ in range(3))
             assert type(a ^ b) is Bits and (a ^ b).width == width
@@ -88,23 +88,15 @@ def test_bits_must_be_non_empty():
         Bits.from_hex("")
 
 
-def test_zeros_validates_width():
-    assert Bits.zeros(256) == bytes(32)
-    with pytest.raises(ValueError):
-        Bits.zeros(0)
-    with pytest.raises(ValueError):
-        Bits.zeros(12)
-
-
 def test_embed_timestamp_zero_and_one():
-    assert embed_timestamp(0, 256) == Bits.zeros(256)
+    assert embed_timestamp(0, 256) == Bits(bytes(32))
     one = embed_timestamp(1, 256)
     assert one == bytes(31) + b"\x01"
 
 
 def test_embed_timestamp_self_inverse():
     t = 1_700_000_000
-    assert embed_timestamp(t, 256) ^ embed_timestamp(t, 256) == Bits.zeros(256)
+    assert embed_timestamp(t, 256) ^ embed_timestamp(t, 256) == Bits(bytes(32))
 
 
 def test_embed_timestamp_injective_sample():

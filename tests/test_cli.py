@@ -308,6 +308,46 @@ class TestServeCommand:
                 rc = proc.wait(timeout=10)
         assert rc == 0
 
+    @staticmethod
+    def _login_then_signal(tmp_path, card_path, launcher, signum):
+        """Start serve through launcher, log in once, send signum; give the
+        exit code, stderr and the audit file's text."""
+        audit_path = tmp_path / "audit.jsonl"
+        config = write_config(tmp_path, audit_path=str(audit_path))
+        with subprocess.Popen(
+            [*launcher, "serve", "--config", str(config)],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        ) as proc:
+            try:
+                address = json.loads(proc.stdout.readline())["listening"]
+                assert main(["login", "--card", str(card_path), "--server", address, "--password", PW]) == 0
+                proc.send_signal(signum)
+                rc = proc.wait(timeout=10)
+            finally:
+                proc.kill()  # does nothing once the server has exited
+            return rc, proc.stderr.read(), audit_path.read_text()
+
+    def test_sigterm_shuts_down_cleanly(self, tmp_path, card_path, fake_now):
+        rc, err, audit = self._login_then_signal(tmp_path, card_path, [sys.executable, "-m", "authlab"], signal.SIGTERM)
+        assert rc == 0
+        assert "interrupt received, shutting down" in err
+        assert audit.endswith("\n") and json.loads(audit)["decision"] == "accept"
+
+    def test_inherited_ignored_sigint_shuts_down_cleanly(self, tmp_path, card_path, fake_now):
+        # a background job of a non-interactive shell starts with SIGINT ignored;
+        # exec keeps that disposition, and Python then installs no handler of its own
+        ignore_then_exec = (
+            "import os, signal, sys; signal.signal(signal.SIGINT, signal.SIG_IGN); "
+            "os.execv(sys.executable, [sys.executable, '-m', 'authlab', *sys.argv[1:]])"
+        )
+        launcher = [sys.executable, "-c", ignore_then_exec]
+        rc, err, audit = self._login_then_signal(tmp_path, card_path, launcher, signal.SIGINT)
+        assert rc == 0
+        assert "interrupt received, shutting down" in err
+        assert audit.endswith("\n") and json.loads(audit)["decision"] == "accept"
+
     def test_bind_conflict_exits_4(self, tmp_path, server_secrets, now, capsys):
         with serve(ServerConfig(server_secrets, ("127.0.0.1", 0)), fixed_clock(now)) as srv:
             config = write_config(tmp_path, bind_address="%s:%d" % srv.address)
@@ -334,6 +374,11 @@ class TestServeCommand:
         ("login", "127.0.0.1:99999", "port must be in 0..65535, got 99999"),
         ("login", "127.0.0.1:x", "port must be an integer, got 'x'"),
         ("attack", "127.0.0.1:x", "port must be an integer, got 'x'"),
+        ("login", "127.0.0.1: 8_0", "port must be an integer, got ' 8_0'"),
+        ("login", "127.0.0.1:+80", "port must be an integer, got '+80'"),
+        ("login", "127.0.0.1:\u0668\u0660", "port must be an integer, got '\u0668\u0660'"),
+        ("login", "127.0.0.1:80 ", "port must be an integer, got '80 '"),
+        ("attack", "127.0.0.1:-1", "port must be an integer, got '-1'"),
     ],
 )
 def test_bad_address_exits_2_with_one_diagnostic(card_path, config_path, fake_now, capsys, command, address, message):

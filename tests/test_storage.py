@@ -27,6 +27,7 @@ UNLOADABLE_JSON = {
 BAD_POLICY = {
     "sha512_on_256_bit_secrets": ("hash_id", "sha512", "hash"),
     "unknown_hash": ("hash_id", "nope", "hash"),
+    "list_hash": ("hash_id", ["sha256"], "hash"),
     "zero_window": ("window_secs", 0, "window_secs"),
     "boolean_window": ("window_secs", True, "window_secs"),
     "negative_skew": ("skew_secs", -1, "skew_secs"),
@@ -200,6 +201,11 @@ def test_parse_address():
     with pytest.raises(ValueError):
         parse_address("host:")
     assert parse_address("localhost:65535") == ("localhost", 65535)
-    for out_of_range in ("127.0.0.1:99999", "host:65536", "host:-1"):
-        with pytest.raises(ValueError):
+    for out_of_range in ("127.0.0.1:99999", "host:65536"):
+        with pytest.raises(ValueError, match=r"port must be in 0\.\.65535"):
             parse_address(out_of_range)
+    # int() would read each of these as 80 (or -1); only ASCII digits are a port
+    for port_text in (" 8_0", "+80", "\u0668\u0660", "80 ", "-1"):
+        with pytest.raises(ValueError) as raised:
+            parse_address("127.0.0.1:" + port_text)
+        assert str(raised.value) == f"port must be an integer, got {port_text!r}"
