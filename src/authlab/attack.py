@@ -53,7 +53,6 @@ class AttackTrial(NamedTuple):
     cheaper to build and to keep.
     """
 
-    trial_index: int
     password_used: Password
     timestamp: int
     reason: Reason
@@ -128,11 +127,11 @@ def run_random_password_attack(
     rng = random.Random(seed)
     log = []
     accepted = 0
-    for index in range(trials):
+    for _ in range(trials):
         pw = draw_password(rng)
         t = clock()
         decision = submit(card, pw, t)
         accepted += decision.accepted
-        log.append(AttackTrial(index, pw, t, decision.reason))
+        log.append(AttackTrial(pw, t, decision.reason))
     return AttackReport(scenario=scenario, trials=trials, accepted=accepted, seed=seed, trial_log=tuple(log))
 

@@ -27,7 +27,7 @@ from authlab.storage import (
     parse_address,
     save_card,
 )
-from authlab.wire import WireError, client_login, serve
+from authlab.wire import AuthServer, WireError, client_login
 
 EXIT_OK = 0
 EXIT_REJECTED = 1
@@ -90,7 +90,7 @@ def cmd_serve(args: argparse.Namespace, clock: Clock) -> int:
             _diag(f"cannot open audit log: {exc}")
             return EXIT_BAD_INPUT
     try:
-        handle = serve(config, clock, audit_stream=audit_file)
+        server = AuthServer(config, clock, audit_stream=audit_file)
     except OSError as exc:
         _diag(f"cannot bind {'%s:%d' % config.bind_address}: {exc}")
         if audit_file:
@@ -98,18 +98,18 @@ def cmd_serve(args: argparse.Namespace, clock: Clock) -> int:
         return EXIT_BIND_FAILURE
 
     # announce inside the try: an interrupt that follows the announcement at
-    # once must still close the handle, or its thread keeps the process alive;
+    # once must still close the server, or its thread keeps the process alive;
     # SIGTERM and a SIGINT inherited as ignored (a background job's) end here too
     try:
         for signum in (signal.SIGINT, signal.SIGTERM):
             signal.signal(signum, signal.default_int_handler)
-        _emit({"listening": "%s:%d" % handle.address})
+        _emit({"listening": "%s:%d" % server.address})
         while True:
             time.sleep(1)
     except KeyboardInterrupt:
         _diag("interrupt received, shutting down")
     finally:
-        handle.close()
+        server.close()
         if audit_file:
             audit_file.close()
     return EXIT_OK

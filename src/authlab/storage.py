@@ -162,6 +162,8 @@ def parse_address(text: str) -> tuple[str, int]:
     # ASCII digits only: int() would also take spaces, "+", "_" and other scripts' digits
     if not (port_text.isascii() and port_text.isdigit()):
         raise ValueError(f"port must be an integer, got {port_text!r}")
+    if len(port_text) > 5:  # checked before int(), which refuses over 4,300 digits with its own advice
+        raise ValueError(f"port must be in 0..65535, got a {len(port_text)}-digit number")
     return host, _check_port(int(port_text))
 
 

@@ -176,27 +176,28 @@ def _recv_frame(conn: socket.socket, deadline: float) -> bytes:
 
 
 class AuthServer:
-    """One-request-per-connection authentication server.
+    """One-request-per-connection authentication server, running once built.
 
-    Obtain one via serve(); the instance is the running handle. A fixed pool
-    of handler_cap threads each block in accept() on the one listening
-    socket, so the kernel hands every connection straight to an idle
-    handler, and further peers wait in the listen backlog; no peer gets a
-    thread of its own. A handler gives a connection at most io_timeout
-    seconds in total to deliver its frame. Authentication is pure, so the
-    only shared state is the append-only audit stream, guarded by a lock so
-    each JSON line is written atomically.
+    Building one binds config.bind_address (a failure raises OSError at once)
+    and starts a fixed pool of handler_cap threads that each block in accept()
+    on the one listening socket, so the kernel hands every connection straight
+    to an idle handler and further peers wait in the listen backlog. A handler
+    gives a connection at most io_timeout seconds in total to deliver its
+    frame. Authentication is pure, so the only shared state is the audit
+    stream, guarded by a lock so each JSON line is written atomically. Close
+    the server, or use it as a context manager, for an orderly shutdown.
     """
 
     io_timeout = 5.0
     handler_cap = 8
 
-    def __init__(self, config: ServerConfig, clock: Clock, audit_stream: IO[str] | None):
+    def __init__(
+        self, config: ServerConfig, clock: Clock = system_clock, *, audit_stream: IO[str] | None = None
+    ):
         self.config = config
         self.clock = clock
         self._audit_stream = audit_stream if audit_stream is not None else sys.stderr
         self._audit_lock = threading.Lock()
-        self._handlers: list[threading.Thread] = []
         self._closing = False
         # a burst of a few dozen connects meeting a busy pool must wait in the
         # backlog, not overflow it: with a backlog of 5, peers were reset
@@ -204,8 +205,6 @@ class AuthServer:
         self._socket = socket.create_server(config.bind_address, family=family, backlog=128)
         # actually bound (host, port); the port is resolved even when bound to 0
         self.address: tuple[str, int] = self._socket.getsockname()[:2]
-
-    def start(self) -> None:
         self._handlers = [
             threading.Thread(target=self._accept_loop, name=f"authlab-handler-{i}")
             for i in range(self.handler_cap)
@@ -224,7 +223,6 @@ class AuthServer:
             pass  # already closed
         for handler in self._handlers:
             handler.join()
-        self._handlers = []
         self._socket.close()
 
     def __enter__(self) -> "AuthServer":
@@ -291,23 +289,6 @@ class AuthServer:
         with self._audit_lock:
             self._audit_stream.write(line)
             self._audit_stream.flush()
-
-
-def serve(
-    config: ServerConfig,
-    clock: Clock = system_clock,
-    *,
-    audit_stream: IO[str] | None = None,
-) -> AuthServer:
-    """Bind to config.bind_address, start the handler threads, and return
-    the handle.
-
-    Bind failures surface immediately as OSError. Close the handle (or use it
-    as a context manager) for an orderly shutdown.
-    """
-    server = AuthServer(config, clock, audit_stream)
-    server.start()
-    return server
 
 
 def client_login(

@@ -2,15 +2,8 @@ import random
 
 import pytest
 
-from authlab import (
-    AuthDecision,
-    Bits,
-    Reason,
-    ServerSecrets,
-    authenticate,
-    hash_bytes,
-    issue_card,
-)
+from authlab.bits import Bits, hash_bytes
+from authlab.protocol import AuthDecision, Reason, ServerSecrets, authenticate, issue_card
 
 # the fixed parameter set every golden vector in the suite was frozen from
 GOLDEN_PW = b"alice-pw"

@@ -18,22 +18,25 @@ import pytest
 
 import oracle
 from conftest import make_strawman, as_int, random_bits
-from authlab import (
+from authlab.attack import Scenario, run_random_password_attack
+from authlab.bits import hash_bytes
+from authlab.clock import fixed_clock
+from authlab.protocol import (
     Reason,
-    Scenario,
-    ServerConfig,
     ServerSecrets,
     authenticate,
     change_password,
-    client_login,
-    fixed_clock,
-    hash_bytes,
     issue_card,
     make_login_request,
-    run_random_password_attack,
-    serve,
 )
-from authlab.wire import decode_login_request, encode_frame, encode_login_request
+from authlab.storage import ServerConfig
+from authlab.wire import (
+    AuthServer,
+    client_login,
+    decode_login_request,
+    encode_frame,
+    encode_login_request,
+)
 
 NOW = 1_700_000_000
 GOLDEN_FRAME_HEX = (
@@ -237,7 +240,7 @@ def test_a8_wire_fidelity():
     golden_ok = encode_login_request(golden_req).hex() == GOLDEN_FRAME_HEX
 
     transparency_failures = 0
-    with serve(ServerConfig(secrets, ("127.0.0.1", 0)), fixed_clock(NOW), audit_stream=io.StringIO()) as srv:
+    with AuthServer(ServerConfig(secrets, ("127.0.0.1", 0)), fixed_clock(NOW), audit_stream=io.StringIO()) as srv:
         for _ in range(50):
             trial_pw = rng.randbytes(rng.randint(0, 32))
             offset = rng.choice([0, 5, 59, 60, 61, 1000])
@@ -299,7 +302,7 @@ def test_a9_fuzz_robustness():
     bad_accepts = 0
     io_failures = 0
     try:
-        with serve(ServerConfig(secrets, ("127.0.0.1", 0)), fixed_clock(NOW), audit_stream=io.StringIO()) as srv:
+        with AuthServer(ServerConfig(secrets, ("127.0.0.1", 0)), fixed_clock(NOW), audit_stream=io.StringIO()) as srv:
             with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
                 responses = list(pool.map(lambda f: poke(srv.address, f), frames))
             for frame, response in zip(frames, responses):

@@ -5,17 +5,10 @@ from dataclasses import FrozenInstanceError, replace
 import pytest
 
 from conftest import make_strawman, random_bits
-from authlab import (
-    Reason,
-    Scenario,
-    ServerSecrets,
-    authenticate,
-    fixed_clock,
-    hash_bytes,
-    issue_card,
-    make_login_request,
-    run_random_password_attack,
-)
+from authlab.attack import Scenario, run_random_password_attack
+from authlab.bits import hash_bytes
+from authlab.clock import fixed_clock
+from authlab.protocol import Reason, ServerSecrets, authenticate, issue_card, make_login_request
 
 # Random.Random(139) draws an empty password first; frozen for the empty-trial test
 EMPTY_FIRST_SEED = 139
@@ -74,7 +67,6 @@ class TestRandomPasswordAttack:
         report = run_random_password_attack(card, server_secrets, 64, 3, fixed_clock(now))
         assert report.accepted == sum(t.accepted for t in report.trial_log)
         assert len(report.trial_log) == report.trials
-        assert [t.trial_index for t in report.trial_log] == list(range(64))
 
 
 class TestClonedCardAttack:

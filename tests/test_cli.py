@@ -10,16 +10,12 @@ import sys
 import pytest
 
 from conftest import GOLDEN_PW, GOLDEN_X_HEX, GOLDEN_Y_HEX
-from authlab import (
-    ServerConfig,
-    fixed_clock,
-    hash_bytes,
-    issue_card,
-    load_card,
-    load_server_config,
-    serve,
-)
+from authlab.bits import hash_bytes
 from authlab.cli import main
+from authlab.clock import fixed_clock
+from authlab.protocol import issue_card
+from authlab.storage import ServerConfig, load_card, load_server_config
+from authlab.wire import AuthServer
 
 PW = GOLDEN_PW.decode()
 
@@ -54,7 +50,7 @@ def card_path(tmp_path, config_path, capsys):
 @pytest.fixture
 def live_server(server_secrets, now, tmp_path):
     audit = open(tmp_path / "audit.log", "w")
-    with serve(ServerConfig(server_secrets, ("127.0.0.1", 0)), fixed_clock(now), audit_stream=audit) as srv:
+    with AuthServer(ServerConfig(server_secrets, ("127.0.0.1", 0)), fixed_clock(now), audit_stream=audit) as srv:
         yield "%s:%d" % srv.address
     audit.close()
 
@@ -257,6 +253,13 @@ class TestAttack:
         assert code == 0
         assert json.loads(out)["acceptance_rate"] == 1.0
 
+    def test_bare_remote_flag_targets_the_config_bind_address(self, card_path, tmp_path, live_server, fake_now, capsys):
+        config = write_config(tmp_path, bind_address=live_server)
+        code = main(["attack", "--card", str(card_path), "--config", str(config), "--trials", "3", "--remote"])
+        out, _ = capsys.readouterr()
+        assert code == 0
+        assert json.loads(out)["accepted"] == 3
+
     def test_remote_mode_unreachable_exits_5(self, card_path, config_path, fake_now, capsys):
         code = main([
             "attack", "--card", str(card_path), "--config", str(config_path),
@@ -349,7 +352,7 @@ class TestServeCommand:
         assert audit.endswith("\n") and json.loads(audit)["decision"] == "accept"
 
     def test_bind_conflict_exits_4(self, tmp_path, server_secrets, now, capsys):
-        with serve(ServerConfig(server_secrets, ("127.0.0.1", 0)), fixed_clock(now)) as srv:
+        with AuthServer(ServerConfig(server_secrets, ("127.0.0.1", 0)), fixed_clock(now)) as srv:
             config = write_config(tmp_path, bind_address="%s:%d" % srv.address)
             code = main(["serve", "--config", str(config)])
         assert code == 4
@@ -379,6 +382,13 @@ class TestServeCommand:
         ("login", "127.0.0.1:\u0668\u0660", "port must be an integer, got '\u0668\u0660'"),
         ("login", "127.0.0.1:80 ", "port must be an integer, got '80 '"),
         ("attack", "127.0.0.1:-1", "port must be an integer, got '-1'"),
+        ("login", "127.0.0.1:000080", "port must be in 0..65535, got a 6-digit number"),
+        pytest.param(
+            "login", "h:" + "1" * 5000, "port must be in 0..65535, got a 5000-digit number", id="login-5000-digit-port"
+        ),
+        pytest.param(
+            "attack", "h:" + "1" * 5000, "port must be in 0..65535, got a 5000-digit number", id="attack-5000-digit-port"
+        ),
     ],
 )
 def test_bad_address_exits_2_with_one_diagnostic(card_path, config_path, fake_now, capsys, command, address, message):
@@ -428,7 +438,7 @@ def test_sha512_config_works_in_every_command(tmp_path, fake_now, capsys):
         assert main(argv) == 0
     capsys.readouterr()
 
-    with serve(load_server_config(config), fixed_clock(fake_now), audit_stream=io.StringIO()) as srv:
+    with AuthServer(load_server_config(config), fixed_clock(fake_now), audit_stream=io.StringIO()) as srv:
         address = "%s:%d" % srv.address
         assert main(["login", "--card", card, "--server", address, "--password", PW]) == 0
         assert json.loads(capsys.readouterr().out)["recovered_hpw"] == hash_bytes(GOLDEN_PW, "sha512").hex()

@@ -6,16 +6,14 @@ import pytest
 
 import oracle
 from conftest import GOLDEN_PW, as_bits, as_int, random_bits
-from authlab import (
+from authlab.bits import Bits, hash_bits, hash_bytes
+from authlab.protocol import (
     AuthDecision,
-    Bits,
     LoginRequest,
     Reason,
     ServerSecrets,
     authenticate,
     change_password,
-    hash_bits,
-    hash_bytes,
     issue_card,
     make_login_request,
     register_user,

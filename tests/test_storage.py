@@ -3,24 +3,24 @@ import json
 import pytest
 
 from conftest import GOLDEN_PW, GOLDEN_X_HEX, GOLDEN_Y_HEX
-from authlab import (
+from authlab.protocol import change_password, issue_card
+from authlab.storage import (
     CardFileError,
     ConfigError,
     ServerConfig,
-    change_password,
-    issue_card,
     load_card,
     load_server_config,
+    parse_address,
     save_card,
     save_server_config,
 )
-from authlab.storage import parse_address
 
-# each once escaped the JSON loader as a traceback rather than a StorageError
+# (document, message): all but the array once escaped the JSON loader as a traceback
 UNLOADABLE_JSON = {
-    "not_utf8": b'{"k": "\xff"}',
-    "nested_past_recursion_limit": b"[" * 100_000,
-    "int_over_4300_digits": b'{"k": ' + b"1" * 5000 + b"}",
+    "not_utf8": (b'{"k": "\xff"}', "not valid JSON"),
+    "nested_past_recursion_limit": (b"[" * 100_000, "not valid JSON"),
+    "int_over_4300_digits": (b'{"k": ' + b"1" * 5000 + b"}", "not valid JSON"),
+    "array_document": (b"[]", "must contain a JSON object"),
 }
 
 # (field, value, word the message names it by): each once passed a ServerConfig built in code
@@ -95,20 +95,26 @@ class TestCardFile:
     def test_non_hex_rejected(self, card_file):
         path, _ = card_file
         doc = json.loads(path.read_text())
-        doc["y"] = "not hex at all"
-        path.write_text(json.dumps(doc))
-        with pytest.raises(CardFileError):
-            load_card(path)
+        # non-hex text, then a field of the wrong JSON type
+        for field, value, message in (
+            ("y", "not hex at all", "y is not valid hex"),
+            ("n_i", 5, "n_i must be a hex string"),
+            ("hash_id", 256, "needs string hash_id and integer k"),
+            ("k", "256", "needs string hash_id and integer k"),
+        ):
+            path.write_text(json.dumps({**doc, field: value}))
+            with pytest.raises(CardFileError, match=message):
+                load_card(path)
 
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(CardFileError):
             load_card(tmp_path / "absent.card")
 
-    @pytest.mark.parametrize("raw", UNLOADABLE_JSON.values(), ids=UNLOADABLE_JSON.keys())
-    def test_unloadable_json_rejected(self, tmp_path, raw):
+    @pytest.mark.parametrize("raw, message", UNLOADABLE_JSON.values(), ids=UNLOADABLE_JSON.keys())
+    def test_unloadable_json_rejected(self, tmp_path, raw, message):
         path = tmp_path / "user.card"
         path.write_bytes(raw)
-        with pytest.raises(CardFileError, match="not valid JSON"):
+        with pytest.raises(CardFileError, match=message):
             load_card(path)
 
     def test_hash_id_must_match_width(self, card_file):
@@ -163,11 +169,11 @@ class TestServerConfigFile:
         with pytest.raises(ConfigError, match=field):
             load_server_config(path)
 
-    @pytest.mark.parametrize("raw", UNLOADABLE_JSON.values(), ids=UNLOADABLE_JSON.keys())
-    def test_unloadable_json_rejected(self, tmp_path, raw):
+    @pytest.mark.parametrize("raw, message", UNLOADABLE_JSON.values(), ids=UNLOADABLE_JSON.keys())
+    def test_unloadable_json_rejected(self, tmp_path, raw, message):
         path = tmp_path / "server.json"
         path.write_bytes(raw)
-        with pytest.raises(ConfigError, match="not valid JSON"):
+        with pytest.raises(ConfigError, match=message):
             load_server_config(path)
 
     def test_bad_bind_address_rejected(self, tmp_path):
@@ -209,3 +215,8 @@ def test_parse_address():
         with pytest.raises(ValueError) as raised:
             parse_address("127.0.0.1:" + port_text)
         assert str(raised.value) == f"port must be an integer, got {port_text!r}"
+    # a port is at most 5 digits, checked before int(), which refuses over 4,300 with its own advice
+    for port_text in ("000080", "1" * 5000):
+        with pytest.raises(ValueError) as raised:
+            parse_address("h:" + port_text)
+        assert str(raised.value) == f"port must be in 0..65535, got a {len(port_text)}-digit number"

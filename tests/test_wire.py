@@ -13,19 +13,10 @@ import pytest
 
 import oracle
 from conftest import GOLDEN_PW, as_int, random_bits
-from authlab import (
-    AuthDecision,
-    Bits,
-    LoginRequest,
-    Reason,
-    ServerConfig,
-    authenticate,
-    client_login,
-    fixed_clock,
-    hash_bytes,
-    make_login_request,
-    serve,
-)
+from authlab.bits import Bits, hash_bytes
+from authlab.clock import fixed_clock
+from authlab.protocol import AuthDecision, LoginRequest, Reason, authenticate, make_login_request
+from authlab.storage import ServerConfig
 from authlab.wire import (
     MSG_AUTH_RESPONSE,
     MSG_LOGIN_REQUEST,
@@ -34,6 +25,7 @@ from authlab.wire import (
     ConnectionFailedError,
     MalformedFrameError,
     MalformedResponseError,
+    client_login,
     decode_auth_response,
     decode_frame,
     decode_login_request,
@@ -163,6 +155,18 @@ class TestResponseCodec:
         with pytest.raises(MalformedResponseError):
             decode_auth_response(encode_frame(MSG_AUTH_RESPONSE, b"\x00"))
 
+    @pytest.mark.parametrize(
+        "frame, message",
+        [
+            (encode_frame(MSG_LOGIN_REQUEST, b"\x00" + bytes(32)), "expected AUTH_RESPONSE, got type 0x01"),
+            (bytes([MSG_AUTH_RESPONSE, 0x02, 0, 0, 0, 33]) + bytes(33), "unsupported version: 0x02"),
+        ],
+        ids=["login_request_type", "version_2"],
+    )
+    def test_other_type_or_version_rejected(self, frame, message):
+        with pytest.raises(MalformedResponseError, match=message):
+            decode_auth_response(frame)
+
 
 @pytest.fixture
 def audit():
@@ -171,7 +175,7 @@ def audit():
 
 @pytest.fixture
 def live_server(server_secrets, now, audit):
-    with serve(ServerConfig(server_secrets, ("127.0.0.1", 0)), fixed_clock(now), audit_stream=audit) as srv:
+    with AuthServer(ServerConfig(server_secrets, ("127.0.0.1", 0)), fixed_clock(now), audit_stream=audit) as srv:
         yield srv
 
 
@@ -296,7 +300,7 @@ class TestServer:
 
     def test_bind_conflict_raises(self, live_server, server_secrets, now):
         with pytest.raises(OSError):
-            serve(ServerConfig(server_secrets, live_server.address), fixed_clock(now))
+            AuthServer(ServerConfig(server_secrets, live_server.address), fixed_clock(now))
 
     def test_port_zero_resolves(self, live_server):
         host, port = live_server.address
@@ -352,7 +356,7 @@ class TestAuditLine:
             (honest[:-1], "reject", "MALFORMED_FRAME"),
             (bytes([MSG_AUTH_RESPONSE]) + honest[1:], "reject", "BAD_TYPE"),
         ]
-        with serve(ServerConfig(server_secrets, (host, 0)), fixed_clock(now), audit_stream=audit) as srv:
+        with AuthServer(ServerConfig(server_secrets, (host, 0)), fixed_clock(now), audit_stream=audit) as srv:
             assert srv.address[0] == host
             for frame, decision, reason in cases:
                 peer, _ = exchange(srv.address, frame)
@@ -365,14 +369,14 @@ class TestAuditLine:
     @pytest.mark.parametrize("peer", ['fe80::1%e"th:9', "fe80::1%e\\th:9", "fe80::1%éth:9", "fe80::1%e\x01th:9"])
     def test_escaped_peer_is_byte_identical_to_json_dumps(self, server_secrets, now, audit, peer):
         # a link-local IPv6 peer carries its interface name, which may hold any of these
-        with serve(ServerConfig(server_secrets, ("127.0.0.1", 0)), fixed_clock(now), audit_stream=audit) as srv:
+        with AuthServer(ServerConfig(server_secrets, ("127.0.0.1", 0)), fixed_clock(now), audit_stream=audit) as srv:
             srv.audit(now, peer, None, "MALFORMED_FRAME")
         fields = {"ts": now, "peer": peer, "cid_hex": None, "decision": "reject", "reason": "MALFORMED_FRAME"}
         assert audit.getvalue() == json.dumps(fields) + "\n"
 
     def test_clock_read_once_per_connection(self, server_secrets, card, now, audit):
         clock = CountingClock(now)
-        with serve(ServerConfig(server_secrets, ("127.0.0.1", 0)), clock, audit_stream=audit) as srv:
+        with AuthServer(ServerConfig(server_secrets, ("127.0.0.1", 0)), clock, audit_stream=audit) as srv:
             honest = encode_login_request(make_login_request(card, GOLDEN_PW, now))
             for frame, reason in ((honest, "OK"), (honest[:-1], "MALFORMED_FRAME")):
                 before = len(clock.reads)
@@ -387,7 +391,7 @@ IO_TIMEOUT = 0.5  # a short per-connection deadline keeps the transport tests fa
 
 @pytest.fixture
 def quick_server(server_secrets, now, audit):
-    with serve(ServerConfig(server_secrets, ("127.0.0.1", 0)), fixed_clock(now), audit_stream=audit) as srv:
+    with AuthServer(ServerConfig(server_secrets, ("127.0.0.1", 0)), fixed_clock(now), audit_stream=audit) as srv:
         srv.io_timeout = IO_TIMEOUT
         yield srv
 
@@ -440,7 +444,7 @@ class TestBoundedServer:
         assert sorted(reasons) == ["MALFORMED_FRAME"] * cap + ["OK"]
 
     def test_close_returns_within_one_deadline_while_handlers_held(self, server_secrets, now, audit):
-        srv = serve(ServerConfig(server_secrets, ("127.0.0.1", 0)), fixed_clock(now), audit_stream=audit)
+        srv = AuthServer(ServerConfig(server_secrets, ("127.0.0.1", 0)), fixed_clock(now), audit_stream=audit)
         srv.io_timeout = IO_TIMEOUT
         conns = []
         try:
@@ -459,7 +463,7 @@ class TestBoundedServer:
         assert not [t for t in threading.enumerate() if t.name.startswith("authlab-")]
 
     def test_close_resets_the_backlog_within_one_deadline(self, server_secrets, now, audit):
-        srv = serve(ServerConfig(server_secrets, ("127.0.0.1", 0)), fixed_clock(now), audit_stream=audit)
+        srv = AuthServer(ServerConfig(server_secrets, ("127.0.0.1", 0)), fixed_clock(now), audit_stream=audit)
         srv.io_timeout = IO_TIMEOUT
         conns = []
         try:
@@ -479,19 +483,12 @@ class TestBoundedServer:
         assert not [t for t in threading.enumerate() if t.name.startswith("authlab-")]
 
     def test_close_of_an_idle_server_returns_at_once(self, server_secrets, now):
-        srv = serve(ServerConfig(server_secrets, ("127.0.0.1", 0)), fixed_clock(now), audit_stream=io.StringIO())
+        srv = AuthServer(ServerConfig(server_secrets, ("127.0.0.1", 0)), fixed_clock(now), audit_stream=io.StringIO())
         closer = threading.Thread(target=srv.close, daemon=True)  # a lost wake-up must not hold the suite
         closer.start()
         closer.join(timeout=0.5)
         assert not closer.is_alive()
         assert not [t for t in threading.enumerate() if t.name.startswith("authlab-")]
-
-    def test_close_of_a_server_never_started_returns(self, server_secrets, now):
-        srv = AuthServer(ServerConfig(server_secrets, ("127.0.0.1", 0)), fixed_clock(now), io.StringIO())
-        closer = threading.Thread(target=srv.close, daemon=True)  # a hung close must not hold the suite
-        closer.start()
-        closer.join(timeout=5)
-        assert not closer.is_alive()
 
     def test_concurrent_clients_each_audited_once(self, live_server, card, now, audit):
         def logins(worker: int) -> list[tuple[bytes, AuthDecision]]:
