@@ -16,7 +16,7 @@ import json
 import random
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, NamedTuple
+from typing import Callable
 
 from authlab.clock import Clock
 from authlab.protocol import (
@@ -43,34 +43,19 @@ class Scenario(Enum):
     CLONED_CARD = "CLONED_CARD"
 
 
-_OK = Reason.OK  # a module global is cheaper to read than an Enum member
-
-
-class AttackTrial(NamedTuple):
-    """One login attempt: the password actually used, verbatim, and the outcome.
-
-    A named tuple, not a dataclass: one is built per trial, and the tuple is
-    cheaper to build and to keep.
-    """
-
-    password_used: Password
-    timestamp: int
-    reason: Reason
-
-    @property
-    def accepted(self) -> bool:
-        return self.reason is _OK
-
-
 @dataclass(frozen=True)
 class AttackReport:
-    """Aggregate of one attack run, reproducible from (seed, clock)."""
+    """Aggregate of one attack run, reproducible from (seed, clock).
+
+    trial_log holds each trial's Reason, in trial order; (seed, clock) give
+    back the password and timestamp a trial used, so the log does not keep them.
+    """
 
     scenario: Scenario
     trials: int
     accepted: int
     seed: int
-    trial_log: tuple[AttackTrial, ...] = field(repr=False)
+    trial_log: tuple[Reason, ...] = field(repr=False)
 
     @property
     def acceptance_rate(self) -> float:
@@ -125,13 +110,7 @@ def run_random_password_attack(
             )
 
     rng = random.Random(seed)
-    log = []
-    accepted = 0
-    for _ in range(trials):
-        pw = draw_password(rng)
-        t = clock()
-        decision = submit(card, pw, t)
-        accepted += decision.accepted
-        log.append(AttackTrial(pw, t, decision.reason))
-    return AttackReport(scenario=scenario, trials=trials, accepted=accepted, seed=seed, trial_log=tuple(log))
+    # arguments run left to right, so each trial draws its password before it reads the clock
+    log = tuple(submit(card, draw_password(rng), clock()).reason for _ in range(trials))
+    return AttackReport(scenario=scenario, trials=trials, accepted=log.count(Reason.OK), seed=seed, trial_log=log)
 

@@ -15,6 +15,7 @@ import json
 import signal
 import sys
 import time
+from contextlib import nullcontext
 
 from authlab.attack import Scenario, run_random_password_attack
 from authlab.clock import Clock, clock_from_env
@@ -82,36 +83,29 @@ def cmd_register(args: argparse.Namespace, clock: Clock) -> int:
 
 def cmd_serve(args: argparse.Namespace, clock: Clock) -> int:
     config = load_server_config(args.config)
-    audit_file = None
-    if config.audit_path is not None:
-        try:
-            audit_file = open(config.audit_path, "a", encoding="utf-8")
-        except OSError as exc:
-            _diag(f"cannot open audit log: {exc}")
-            return EXIT_BAD_INPUT
     try:
-        server = AuthServer(config, clock, audit_stream=audit_file)
+        audit = nullcontext() if config.audit_path is None else open(config.audit_path, "a", encoding="utf-8")
     except OSError as exc:
-        _diag(f"cannot bind {'%s:%d' % config.bind_address}: {exc}")
-        if audit_file:
-            audit_file.close()
-        return EXIT_BIND_FAILURE
-
-    # announce inside the try: an interrupt that follows the announcement at
-    # once must still close the server, or its thread keeps the process alive;
-    # SIGTERM and a SIGINT inherited as ignored (a background job's) end here too
-    try:
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            signal.signal(signum, signal.default_int_handler)
-        _emit({"listening": "%s:%d" % server.address})
-        while True:
-            time.sleep(1)
-    except KeyboardInterrupt:
-        _diag("interrupt received, shutting down")
-    finally:
-        server.close()
-        if audit_file:
-            audit_file.close()
+        _diag(f"cannot open audit log: {exc}")
+        return EXIT_BAD_INPUT
+    with audit as audit_file:  # closed after the server, which writes to it until then
+        try:
+            server = AuthServer(config, clock, audit_stream=audit_file)
+        except OSError as exc:
+            _diag(f"cannot bind {'%s:%d' % config.bind_address}: {exc}")
+            return EXIT_BIND_FAILURE
+        # announce inside the with: an interrupt that follows the announcement at
+        # once must still close the server, or its thread keeps the process alive;
+        # SIGTERM and a SIGINT inherited as ignored (a background job's) end here too
+        with server:
+            try:
+                for signum in (signal.SIGINT, signal.SIGTERM):
+                    signal.signal(signum, signal.default_int_handler)
+                _emit({"listening": "%s:%d" % server.address})
+                while True:
+                    time.sleep(1)
+            except KeyboardInterrupt:
+                _diag("interrupt received, shutting down")
     return EXIT_OK
 
 

@@ -29,10 +29,12 @@ def clock_from_env(env: Mapping[str, str] | None = None) -> Clock:
     raw = env.get(FAKE_TIME_ENV)
     if raw is None:
         return system_clock
-    try:
-        t = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{FAKE_TIME_ENV} must be integer seconds, got {raw!r}") from exc
-    if not 0 <= t <= MAX_TIMESTAMP:
+    # ASCII digits only: int() would also take spaces, "+", "_" and other scripts' digits
+    if not (raw.isascii() and raw.isdigit()):
+        raise ValueError(f"{FAKE_TIME_ENV} must be integer seconds, got {raw!r}")
+    if len(raw) > 20:  # 2**64-1 has 20 digits; checked before int(), which refuses over 4,300
+        raise ValueError(f"{FAKE_TIME_ENV} must be in 0..2**64-1, got a {len(raw)}-digit number")
+    t = int(raw)
+    if t > MAX_TIMESTAMP:
         raise ValueError(f"{FAKE_TIME_ENV} must be in 0..2**64-1, got {raw!r}")
     return fixed_clock(t)

@@ -41,6 +41,10 @@ class Reason(Enum):
     FUTURE_TIMESTAMP = "FUTURE_TIMESTAMP"
     CHECK_FAILED = "CHECK_FAILED"
 
+    @property
+    def accepted(self) -> bool:
+        return self is _OK
+
 
 _OK = Reason.OK  # a module global is cheaper to read than an Enum member, and accepted runs per trial
 
@@ -117,7 +121,7 @@ class AuthDecision:
 
     @property
     def accepted(self) -> bool:
-        return self.reason is _OK
+        return self.reason.accepted
 
 
 def register_user(pw: Password, secrets: ServerSecrets, hash_id: str = DEFAULT_HASH_ID) -> Bits:

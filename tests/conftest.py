@@ -3,7 +3,7 @@ import random
 import pytest
 
 from authlab.bits import Bits, hash_bytes
-from authlab.protocol import AuthDecision, Reason, ServerSecrets, authenticate, issue_card
+from authlab.protocol import AuthDecision, Reason, ServerSecrets, authenticate, issue_card, make_login_request
 
 # the fixed parameter set every golden vector in the suite was frozen from
 GOLDEN_PW = b"alice-pw"
@@ -53,3 +53,16 @@ def make_strawman(secrets: ServerSecrets, real_pw: bytes):
         return decision
 
     return verify
+
+
+def recording_submit(secrets: ServerSecrets, t_star: int, calls: list):
+    """The attack runner's in-process step (build the request, authenticate it
+    at t_star) that also appends each (password, timestamp, decision) to calls,
+    so a test sees exactly what the runner passed."""
+
+    def submit(card, pw, t):
+        decision = authenticate(secrets, make_login_request(card, pw, t), t_star=t_star)
+        calls.append((pw, t, decision))
+        return decision
+
+    return submit

@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import oracle
-from conftest import make_strawman, as_int, random_bits
+from conftest import make_strawman, as_int, random_bits, recording_submit
 from authlab.attack import Scenario, run_random_password_attack
 from authlab.bits import hash_bytes
 from authlab.clock import fixed_clock
@@ -115,18 +115,24 @@ def test_a3_recovery_identity(a1_runs, a2_state):
     card, secrets, random_report, cloned_report, _ = a2_state
     mismatches = sum(d.recovered_hpw != hash_bytes(pw) for pw, d in runs if d.accepted)
     checked = sum(d.accepted for _, d in runs)
-    for report in (random_report, cloned_report):
-        for trial in report.trial_log:
-            if not trial.accepted:
-                continue
-            req = make_login_request(card, trial.password_used, trial.timestamp)
-            decision = authenticate(secrets, req, t_star=NOW)
-            mismatches += decision.recovered_hpw != hash_bytes(trial.password_used)
-            checked += 1
+    # rerun each A2 attack through a recording submit: the same report means the
+    # recorded passwords are the ones the A2 trials used
+    replayed = True
+    for seed, report in ((7, random_report), (8, cloned_report)):
+        calls = []
+        rerun = run_random_password_attack(
+            card, secrets, 1000, seed, fixed_clock(NOW),
+            submit=recording_submit(secrets, NOW, calls), scenario=report.scenario,
+        )
+        replayed = replayed and rerun == report and len(calls) == report.trials
+        for pw, _, decision in calls:
+            if decision.accepted:
+                mismatches += decision.recovered_hpw != hash_bytes(pw)
+                checked += 1
     _report(
         "A3 recovered hash equals h(typed password) on every accepted request",
-        mismatches == 0 and checked == 3000,
-        f"{checked} requests audited, {mismatches} mismatches",
+        replayed and mismatches == 0 and checked == 3000,
+        f"{checked} requests audited, {mismatches} mismatches, A2 reports replayed: {replayed}",
     )
 
 

@@ -1,10 +1,11 @@
 import json
 import random
+import tracemalloc
 from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
-from conftest import make_strawman, random_bits
+from conftest import make_strawman, random_bits, recording_submit
 from authlab.attack import Scenario, run_random_password_attack
 from authlab.bits import hash_bytes
 from authlab.clock import fixed_clock
@@ -42,11 +43,14 @@ class TestRandomPasswordAttack:
         assert report.scenario is Scenario.RANDOM_PASSWORD
 
     def test_empty_password_accepted(self, card, server_secrets, now):
+        calls = []
         report = run_random_password_attack(
-            card, server_secrets, 1, EMPTY_FIRST_SEED, fixed_clock(now)
+            card, server_secrets, 1, EMPTY_FIRST_SEED, fixed_clock(now),
+            submit=recording_submit(server_secrets, now, calls),
         )
-        assert report.trial_log[0].password_used == b""
+        assert [(pw, t) for pw, t, _ in calls] == [(b"", now)]
         assert report.trial_log[0].accepted
+        assert report == run_random_password_attack(card, server_secrets, 1, EMPTY_FIRST_SEED, fixed_clock(now))
 
     def test_same_seed_reproduces_report(self, card, server_secrets, now):
         a = run_random_password_attack(card, server_secrets, 50, 21, fixed_clock(now))
@@ -55,9 +59,12 @@ class TestRandomPasswordAttack:
         assert a.to_json() == b.to_json()
 
     def test_distinct_seeds_draw_distinct_passwords(self, card, server_secrets, now):
-        a = run_random_password_attack(card, server_secrets, 20, 1, fixed_clock(now))
-        b = run_random_password_attack(card, server_secrets, 20, 2, fixed_clock(now))
-        assert [t.password_used for t in a.trial_log] != [t.password_used for t in b.trial_log]
+        a, b = [], []
+        for seed, calls in ((1, a), (2, b)):
+            submit = recording_submit(server_secrets, now, calls)
+            run_random_password_attack(card, server_secrets, 20, seed, fixed_clock(now), submit=submit)
+        assert len(a) == len(b) == 20
+        assert [pw for pw, _, _ in a] != [pw for pw, _, _ in b]
 
     def test_trials_must_be_positive(self, card, server_secrets, now):
         with pytest.raises(ValueError):
@@ -67,6 +74,20 @@ class TestRandomPasswordAttack:
         report = run_random_password_attack(card, server_secrets, 64, 3, fixed_clock(now))
         assert report.accepted == sum(t.accepted for t in report.trial_log)
         assert len(report.trial_log) == report.trials
+
+    def test_log_holds_one_reference_per_trial(self, card, server_secrets, now):
+        # a tuple slot is 8 bytes and every trial shares its Reason member, so
+        # 32 bytes a trial leaves room for allocator slack
+        trials = 6000
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            report = run_random_password_attack(card, server_secrets, trials, 1, fixed_clock(now))
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert report.trials == len(report.trial_log) == trials
+        assert held < 32 * trials, f"{held} bytes held for {trials} trials"
 
 
 class TestClonedCardAttack:
@@ -119,7 +140,7 @@ class TestStrawmanControl:
             card, secrets, 200, 17, fixed_clock(now), submit=submit
         )
         assert report.acceptance_rate == 0.0
-        assert all(t.reason is Reason.CHECK_FAILED for t in report.trial_log)
+        assert all(t is Reason.CHECK_FAILED for t in report.trial_log)
 
         honest = verify(make_login_request(card, real_pw, now), t_star=now)
         assert honest.accepted

@@ -1,3 +1,4 @@
+import gc
 import getpass
 import io
 import json
@@ -6,6 +7,7 @@ import signal
 import stat
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -352,11 +354,24 @@ class TestServeCommand:
         assert audit.endswith("\n") and json.loads(audit)["decision"] == "accept"
 
     def test_bind_conflict_exits_4(self, tmp_path, server_secrets, now, capsys):
+        audit_path = tmp_path / "audit.jsonl"
         with AuthServer(ServerConfig(server_secrets, ("127.0.0.1", 0)), fixed_clock(now)) as srv:
-            config = write_config(tmp_path, bind_address="%s:%d" % srv.address)
-            code = main(["serve", "--config", str(config)])
+            config = write_config(tmp_path, bind_address="%s:%d" % srv.address, audit_path=str(audit_path))
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", ResourceWarning)
+                code = main(["serve", "--config", str(config)])
+                gc.collect()  # an audit file left open would warn when collected
         assert code == 4
         assert "cannot bind" in capsys.readouterr().err
+        assert [w.message for w in caught if issubclass(w.category, ResourceWarning)] == []
+        assert audit_path.read_text() == ""
+
+    def test_audit_log_in_missing_directory_exits_2(self, tmp_path, capsys):
+        config = write_config(tmp_path, audit_path=str(tmp_path / "missing" / "audit.jsonl"))
+        assert main(["serve", "--config", str(config)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("authlab: cannot open audit log: ")
 
     def test_bad_config_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
