@@ -118,10 +118,10 @@ def test_a3_recovery_identity(a1_runs, a2_state):
     # rerun each A2 attack through a recording submit: the same report means the
     # recorded passwords are the ones the A2 trials used
     replayed = True
-    for seed, report in ((7, random_report), (8, cloned_report)):
+    for report in (random_report, cloned_report):
         calls = []
         rerun = run_random_password_attack(
-            card, secrets, 1000, seed, fixed_clock(NOW),
+            card, secrets, report.trials, report.seed, fixed_clock(NOW),
             submit=recording_submit(secrets, NOW, calls), scenario=report.scenario,
         )
         replayed = replayed and rerun == report and len(calls) == report.trials
