@@ -61,8 +61,18 @@ def _decision_json(decision: AuthDecision) -> dict:
     }
 
 
+def _digits(text: str) -> int:
+    """An integer of 1 to 20 ASCII digits, the rule AUTHLAB_FAKE_TIME follows too."""
+    # int() would also take spaces, signs, "_" and other scripts' digits
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"must be ASCII digits, got {text!r}")
+    if len(text) > 20:  # checked before int(), and the usage error does not repeat the value
+        raise argparse.ArgumentTypeError(f"must be at most 20 digits, got a {len(text)}-digit number")
+    return int(text)
+
+
 def _positive_int(text: str) -> int:
-    value = int(text)
+    value = _digits(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
@@ -211,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="random-password",
     )
     p.add_argument("--trials", type=_positive_int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_digits, default=0)
     p.add_argument(
         "--remote",
         nargs="?",

@@ -21,7 +21,7 @@ faithful to the scheme under study, not an implementation bug.
 from __future__ import annotations
 
 import hmac
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Callable
 
@@ -59,12 +59,15 @@ class ServerSecrets:
 
     x: Bits
     y: Bits
+    # y as an int for authenticate, set once here; init, repr, == and hash ignore it
+    y_int: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.x.width != self.y.width:
             raise ValueError(f"secret widths differ: x={self.x.width}, y={self.y.width}")
         if self.y.width < MIN_WIDTH:  # the timestamp is XORed in as a 64-bit field
             raise ValueError(f"width must be at least {MIN_WIDTH} bits, got {self.y.width}")
+        object.__setattr__(self, "y_int", int.from_bytes(self.y, "big"))
 
 
 @dataclass(frozen=True)
@@ -80,6 +83,8 @@ class SmartcardState:
     y: Bits
     hash_id: str
     k: int
+    # n_i xor y as an int for make_login_request, set once here; init, repr, == and hash ignore it
+    n_y: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n_i.width != self.k or self.y.width != self.k:
@@ -88,6 +93,7 @@ class SmartcardState:
             )
         if hash_width(self.hash_id) != self.k:
             raise ValueError(f"hash {self.hash_id!r} does not produce {self.k}-bit output")
+        object.__setattr__(self, "n_y", int.from_bytes(self.n_i, "big") ^ int.from_bytes(self.y, "big"))
 
 
 @dataclass(frozen=True, slots=True)
@@ -162,7 +168,7 @@ def make_login_request(card: SmartcardState, typed_pw: Password, t: int) -> Logi
     if not 0 <= t <= MAX_TIMESTAMP:
         raise ValueError(f"timestamp out of 64-bit range: {t}")
     new, n = hasher(card.hash_id)  # the card checked that its hash gives k bits
-    n_y = int.from_bytes(card.n_i, "big") ^ int.from_bytes(card.y, "big")
+    n_y = card.n_y
     hpw = int.from_bytes(new(typed_pw).digest(), "big")
     cid = hpw ^ _h(n_y ^ t, n, new)
     b = _h(cid ^ hpw, n, new)
@@ -203,7 +209,7 @@ def authenticate(
     if digest_size != n:
         raise ValueError(f"width mismatch: {hash_id} gives {digest_size * 8} bits, not {n * 8}")
     cid = int.from_bytes(req.cid, "big")
-    n_y = int.from_bytes(req.n_i, "big") ^ int.from_bytes(secrets.y, "big")
+    n_y = int.from_bytes(req.n_i, "big") ^ secrets.y_int
     recovered_hpw = cid ^ _h(n_y ^ req.t, n, new)
     b = _h(cid ^ recovered_hpw, n, new)
     ok = hmac.compare_digest(_h(req.t ^ n_y ^ b, n, new).to_bytes(n, "big"), req.c_i)

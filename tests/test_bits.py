@@ -1,9 +1,10 @@
+import hashlib
 import random
 
 import pytest
 
 from conftest import as_int, random_bits
-from authlab.bits import Bits, embed_timestamp, hash_bits, hash_bytes, hash_width
+from authlab.bits import Bits, _faster, embed_timestamp, hash_bits, hash_bytes, hash_width, hasher
 
 # FIPS 180 test vectors, frozen from the standard rather than recomputed
 SHA256_EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
@@ -31,6 +32,42 @@ def test_hash_width_rejects_unknown_and_variable_algorithms():
         hash_width("no-such-hash")
     with pytest.raises(ValueError):
         hash_width("shake_128")
+
+
+@pytest.mark.parametrize("hash_id", ["sha224", "sha256", "sha384", "sha512"])
+def test_builtin_and_hashlib_constructors_agree(hash_id):
+    builtin = getattr(hashlib, "__get_builtin_constructor")(hash_id)
+    named = getattr(hashlib, hash_id)
+    assert builtin is not named
+    rng = random.Random(hash_id)
+    for n in range(201):
+        data = rng.randbytes(n)
+        assert builtin(data).digest() == named(data).digest() == hash_bytes(data, hash_id)
+    assert hasher(hash_id) in ((builtin, named().digest_size), (named, named().digest_size))
+
+
+def test_faster_keeps_the_faster_constructor():
+    def slowed(data):
+        for _ in range(50):
+            hashlib.sha256(data).digest()
+        return hashlib.sha256(data)
+
+    data = bytes(32)
+    assert _faster(slowed, hashlib.sha256, data) is hashlib.sha256
+    assert _faster(hashlib.sha256, slowed, data) is hashlib.sha256
+
+
+def test_no_builtin_keeps_hashlibs_constructor(monkeypatch):
+    assert hasher("blake2b") == (hashlib.blake2b, 64)  # the built-in is hashlib's own, not timed
+    assert hasher("sha512_256")[0].func is hashlib.new  # OpenSSL only: the helper raises ValueError
+    monkeypatch.delattr(hashlib, "__get_builtin_constructor")
+    hasher.cache_clear()
+    try:
+        assert hasher("sha256") == (hashlib.sha256, 32)
+        assert hasher("SHA512")[0].func is hashlib.new
+        assert hash_bytes(b"abc").hex() == SHA256_ABC
+    finally:
+        hasher.cache_clear()  # the next lookup sees the helper again
 
 
 def test_hex_round_trip():

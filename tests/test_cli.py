@@ -246,6 +246,34 @@ class TestAttack:
         assert out == ""
         assert "usage" in err
 
+    @pytest.mark.parametrize(
+        "option, value, message",
+        [
+            ("--trials", "1_0", "must be ASCII digits, got '1_0'"),
+            ("--trials", " 5", "must be ASCII digits, got ' 5'"),
+            ("--trials", "\u0665", "must be ASCII digits"),  # Arabic-Indic five
+            ("--trials", "+5", "must be ASCII digits, got '+5'"),
+            ("--seed", " -3_0", "must be ASCII digits, got ' -3_0'"),
+            ("--seed", "-7", "must be ASCII digits, got '-7'"),  # Random(-7) draws what Random(7) draws
+            ("--seed", "", "must be ASCII digits, got ''"),
+            pytest.param("--trials", "1" * 21, "must be at most 20 digits, got a 21-digit number", id="trials-21-digits"),
+            pytest.param("--seed", "1" * 5000, "must be at most 20 digits, got a 5000-digit number", id="seed-5000-digits"),
+        ],
+    )
+    def test_trials_and_seed_take_ascii_digits_only(self, card_path, config_path, capsys, option, value, message):
+        code = main(["attack", "--card", str(card_path), "--config", str(config_path), option, value])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert f"argument {option}: {message}" in err
+        assert len(err) < 1000  # the value is not repeated back
+
+    def test_twenty_digit_seed_runs(self, card_path, config_path, fake_now, capsys):
+        seed = "9" * 20
+        argv = ["attack", "--card", str(card_path), "--config", str(config_path), "--trials", "3", "--seed", seed]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["seed"] == int(seed)
+
     def test_remote_mode_over_live_server(self, card_path, config_path, live_server, fake_now, capsys):
         code = main([
             "attack", "--card", str(card_path), "--config", str(config_path),

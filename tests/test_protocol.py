@@ -118,7 +118,8 @@ class TestLoginRequest:
                 make_login_request(card, GOLDEN_PW, t)
 
     def test_openssl_only_hash_name_gives_identical_request(self, card, now):
-        # "SHA256" goes through hashlib.new, "sha256" through the named constructor
+        # "SHA256" is not a hashlib attribute: it gets hashlib.new or the built-in sha256,
+        # whichever hasher timed faster; "sha256" gets the named constructor or that built-in
         upper = replace(card, hash_id="SHA256")
         assert make_login_request(upper, GOLDEN_PW, now) == make_login_request(card, GOLDEN_PW, now)
 
@@ -148,6 +149,25 @@ class TestRecords:
         assert replace(rejected, reason=Reason.STALE_TIMESTAMP).reason is Reason.STALE_TIMESTAMP
         with pytest.raises(TypeError, match="accepted"):  # not a field: it follows from the reason
             replace(rejected, accepted=True)
+
+    def test_stored_ints_follow_the_fields(self, card, server_secrets):
+        assert card.n_y == as_int(card.n_i) ^ as_int(card.y)
+        assert server_secrets.y_int == as_int(server_secrets.y)
+        rewritten = replace(card, n_i=card.n_i ^ hash_bytes(b"scribble"))
+        assert rewritten.n_y == as_int(card.n_i ^ hash_bytes(b"scribble")) ^ as_int(card.y)
+        assert replace(server_secrets, y=server_secrets.x).y_int == as_int(server_secrets.x)
+        for value, stored in ((card, "n_y"), (server_secrets, "y_int")):
+            with pytest.raises(ValueError, match=stored):  # derived, so replace cannot set it
+                replace(value, **{stored: 0})
+
+    def test_card_and_secrets_eq_hash_and_repr_go_by_declared_fields(self, card, server_secrets):
+        card_repr = f"SmartcardState(n_i={card.n_i!r}, y={card.y!r}, hash_id='sha256', k=256)"
+        secrets_repr = f"ServerSecrets(x={server_secrets.x!r}, y={server_secrets.y!r})"
+        for value, stored, text in ((card, "n_y", card_repr), (server_secrets, "y_int", secrets_repr)):
+            twin = replace(value)
+            object.__setattr__(twin, stored, -1)  # a stored int that no longer follows the fields
+            assert twin == value and hash(twin) == hash(value)
+            assert repr(twin) == repr(value) == text
 
     def test_eq_hash_and_repr_are_by_field(self, card, now):
         a, b = make_login_request(card, GOLDEN_PW, now), make_login_request(card, GOLDEN_PW, now)
