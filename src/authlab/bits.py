@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import time
 from typing import Any, Callable
 
 DEFAULT_HASH_ID = "sha256"
@@ -12,6 +11,24 @@ DEFAULT_HASH_ID = "sha256"
 # Timestamps embed as a 64-bit field, so narrower protocol widths are unusable.
 MIN_WIDTH = 64
 MAX_TIMESTAMP = (1 << 64) - 1
+
+# A refused value longer than this is reported by its length, not repeated back.
+MAX_ECHO = 40
+
+
+def parse_digits(text: str, max_digits: int, not_digits: str, too_long: str) -> int:
+    """The integer that text spells in 1 to max_digits ASCII digits.
+
+    int() alone would also take spaces, signs, "_" and other scripts' digits,
+    and refuses over 4,300 digits with its own advice; so the digits and their
+    count are checked first. A refusal raises ValueError: not_digits or
+    too_long, then what was given."""
+    if not (text.isascii() and text.isdigit()):
+        shown = repr(text) if len(text) <= MAX_ECHO else f"a {len(text)}-character value"
+        raise ValueError(f"{not_digits}, got {shown}")
+    if len(text) > max_digits:
+        raise ValueError(f"{too_long}, got a {len(text)}-digit number")
+    return int(text)
 
 
 class Bits(bytes):
@@ -48,17 +65,13 @@ class Bits(bytes):
         return Bits((int.from_bytes(self, "big") ^ int.from_bytes(other, "big")).to_bytes(n, "big"))
 
 
-def _faster(a: Callable[[bytes], Any], b: Callable[[bytes], Any], data: bytes) -> Callable[[bytes], Any]:
-    """Whichever of two hash constructors hashes data faster, by each one's best
-    of five alternating batches; a on a tie. About 1 ms for 32 or 64 bytes."""
-    times: dict[Callable[[bytes], Any], list[int]] = {a: [], b: []}
-    for _ in range(5):
-        for new in (a, b):
-            start = time.perf_counter_ns()
-            for _ in range(64):
-                new(data).digest()
-            times[new].append(time.perf_counter_ns() - start)
-    return b if min(times[b]) < min(times[a]) else a
+def _fips_mode() -> bool:
+    """Whether OpenSSL enforces a FIPS policy; False where CPython has no OpenSSL."""
+    try:
+        import _hashlib
+    except ImportError:
+        return False
+    return bool(_hashlib.get_fips_mode())
 
 
 @functools.cache
@@ -68,10 +81,11 @@ def hasher(hash_id: str) -> tuple[Callable[[bytes], Any], int]:
     generic dispatch (a third of the cost of hashing 32 bytes); an OpenSSL-only
     name such as "sha512_256" goes through the generic one.
 
-    Where CPython also has a built-in implementation, the faster of the two on a
-    digest-size input is kept: OpenSSL 3 sets up a context on every call, which
-    makes it the slower one for 32- and 64-byte inputs on some builds and not on
-    others. Both give the same digests; the built-in one ignores a FIPS policy."""
+    Where CPython also has a built-in implementation, that one is used, unless
+    OpenSSL runs in FIPS mode, whose policy the built-in one would bypass.
+    OpenSSL 3 sets up a context on every call, which on CPython 3.10 to 3.13.0
+    makes it the slower of the two for 32- and 64-byte inputs (README has the
+    measurements). Both give the same digests."""
     guaranteed = hash_id in hashlib.algorithms_guaranteed
     new = getattr(hashlib, hash_id) if guaranteed else functools.partial(hashlib.new, hash_id)
     try:
@@ -80,13 +94,12 @@ def hasher(hash_id: str) -> tuple[Callable[[bytes], Any], int]:
         raise ValueError(f"unknown hash algorithm {hash_id!r}") from exc
     if digest_size == 0:
         raise ValueError(f"hash algorithm {hash_id!r} has no fixed output width")
+    if _fips_mode():
+        return new, digest_size
     try:  # a private helper of hashlib's, present in 3.10 to 3.13; _sha256 became _sha2 in 3.12
-        builtin = getattr(hashlib, "__get_builtin_constructor")(hash_id)
+        return getattr(hashlib, "__get_builtin_constructor")(hash_id), digest_size
     except (AttributeError, ValueError):  # no such helper, or no built-in for this id
         return new, digest_size
-    if builtin is not new:  # blake2 has only the built-in one
-        new = _faster(new, builtin, bytes(digest_size))
-    return new, digest_size
 
 
 def hash_width(hash_id: str) -> int:

@@ -18,6 +18,7 @@ import time
 from contextlib import nullcontext
 
 from authlab.attack import Scenario, run_random_password_attack
+from authlab.bits import parse_digits
 from authlab.clock import Clock, clock_from_env
 from authlab.protocol import AuthDecision, change_password, issue_card, make_login_request
 from authlab.storage import (
@@ -63,12 +64,10 @@ def _decision_json(decision: AuthDecision) -> dict:
 
 def _digits(text: str) -> int:
     """An integer of 1 to 20 ASCII digits, the rule AUTHLAB_FAKE_TIME follows too."""
-    # int() would also take spaces, signs, "_" and other scripts' digits
-    if not (text.isascii() and text.isdigit()):
-        raise argparse.ArgumentTypeError(f"must be ASCII digits, got {text!r}")
-    if len(text) > 20:  # checked before int(), and the usage error does not repeat the value
-        raise argparse.ArgumentTypeError(f"must be at most 20 digits, got a {len(text)}-digit number")
-    return int(text)
+    try:
+        return parse_digits(text, 20, "must be ASCII digits", "must be at most 20 digits")
+    except ValueError as exc:  # argparse would repeat the value after a plain ValueError
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _positive_int(text: str) -> int:

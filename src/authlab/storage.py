@@ -23,7 +23,7 @@ import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
-from authlab.bits import DEFAULT_HASH_ID, Bits, hash_width
+from authlab.bits import DEFAULT_HASH_ID, Bits, hash_width, parse_digits
 from authlab.protocol import (
     DEFAULT_SKEW_SECS,
     DEFAULT_WINDOW_SECS,
@@ -159,12 +159,7 @@ def parse_address(text: str) -> tuple[str, int]:
     host, sep, port_text = text.rpartition(":")
     if not sep or not host:
         raise ValueError(f"address must be host:port, got {text!r}")
-    # ASCII digits only: int() would also take spaces, "+", "_" and other scripts' digits
-    if not (port_text.isascii() and port_text.isdigit()):
-        raise ValueError(f"port must be an integer, got {port_text!r}")
-    if len(port_text) > 5:  # checked before int(), which refuses over 4,300 digits with its own advice
-        raise ValueError(f"port must be in 0..65535, got a {len(port_text)}-digit number")
-    return host, _check_port(int(port_text))
+    return host, _check_port(parse_digits(port_text, 5, "port must be an integer", "port must be in 0..65535"))
 
 
 def load_server_config(path: str | Path) -> ServerConfig:

@@ -258,6 +258,7 @@ class TestAttack:
             ("--seed", "", "must be ASCII digits, got ''"),
             pytest.param("--trials", "1" * 21, "must be at most 20 digits, got a 21-digit number", id="trials-21-digits"),
             pytest.param("--seed", "1" * 5000, "must be at most 20 digits, got a 5000-digit number", id="seed-5000-digits"),
+            pytest.param("--seed", "x" * 5000, "must be ASCII digits, got a 5000-character value", id="seed-5000-letters"),
         ],
     )
     def test_trials_and_seed_take_ascii_digits_only(self, card_path, config_path, capsys, option, value, message):

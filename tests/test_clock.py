@@ -33,6 +33,7 @@ def test_env_override_rejects_garbage():
         ("\u0661\u0667\u0660\u0660", "must be integer seconds, got '\u0661\u0667\u0660\u0660'"),
         ("0" + max_t, "must be in 0..2**64-1, got a 21-digit number"),
         ("1" * 5000, "must be in 0..2**64-1, got a 5000-digit number"),
+        ("x" * 5000, "must be integer seconds, got a 5000-character value"),
     ):
         with pytest.raises(ValueError, match=f"^{re.escape('AUTHLAB_FAKE_TIME ' + message)}$"):
             clock_from_env({"AUTHLAB_FAKE_TIME": raw})

@@ -118,8 +118,8 @@ class TestLoginRequest:
                 make_login_request(card, GOLDEN_PW, t)
 
     def test_openssl_only_hash_name_gives_identical_request(self, card, now):
-        # "SHA256" is not a hashlib attribute: it gets hashlib.new or the built-in sha256,
-        # whichever hasher timed faster; "sha256" gets the named constructor or that built-in
+        # both names get the built-in sha256, except where there is none or OpenSSL is in FIPS
+        # mode: then "SHA256", not a hashlib attribute, gets hashlib.new and "sha256" the named one
         upper = replace(card, hash_id="SHA256")
         assert make_login_request(upper, GOLDEN_PW, now) == make_login_request(card, GOLDEN_PW, now)
 

@@ -220,3 +220,5 @@ def test_parse_address():
         with pytest.raises(ValueError) as raised:
             parse_address("h:" + port_text)
         assert str(raised.value) == f"port must be in 0..65535, got a {len(port_text)}-digit number"
+    with pytest.raises(ValueError, match=r"^port must be an integer, got a 5000-character value$"):
+        parse_address("h:" + "x" * 5000)
