@@ -256,7 +256,3 @@ def main(argv: list[str] | None = None) -> int:
     except CardFileError as exc:
         _diag(f"bad card file: {exc}")
         return EXIT_BAD_INPUT
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -15,13 +15,14 @@ password hash, zero-filled on paths that never computed it. Returning the
 recovered hash at all is a lab affordance for observability; a production
 protocol would not reveal it.
 
-The decoders are strict: given one whole frame, they reject a wrong
-version, a declared length that does not match, trailing bytes, or an
-unexpected message type. The server and the client each read one frame off
-the socket before a deadline (the header, checked as soon as it is in, then
-the payload it declares), decode it with those same functions, and ignore
-any bytes sent after it. The server answers exactly one request per
-connection and then closes.
+The decoders are strict: given one whole frame, each raises BadTypeError
+for an unexpected message type and MalformedFrameError for any other fault
+(a wrong version or length, trailing bytes, a payload that does not parse);
+an all-zero recovered hash is the fill, so it decodes as none. The server
+and the client each read one frame off the socket before a deadline (the
+header, checked as soon as it is in, then the payload it declares), decode
+it with those same functions, and ignore any bytes sent after it. The
+server answers exactly one request per connection and then closes.
 """
 
 from __future__ import annotations
@@ -78,11 +79,7 @@ class BadTypeError(WireError):
 
 
 class ConnectionFailedError(WireError):
-    """Could not reach or keep a connection to the server."""
-
-
-class MalformedResponseError(WireError):
-    """Server reply that does not parse as an auth response."""
+    """Could not reach the server, or the exchange with it failed or ran out of time."""
 
 
 def encode_frame(msg_type: int, payload: bytes) -> bytes:
@@ -139,20 +136,16 @@ def encode_auth_response(decision: AuthDecision, width: int) -> bytes:
 
 
 def decode_auth_response(data: bytes) -> AuthDecision:
-    try:
-        msg_type, payload = decode_frame(data)
-    except MalformedFrameError as exc:
-        raise MalformedResponseError(str(exc)) from exc
+    """Inverse of encode_auth_response; rejects anything else."""
+    msg_type, payload = decode_frame(data)
     if msg_type != MSG_AUTH_RESPONSE:
-        raise MalformedResponseError(f"expected AUTH_RESPONSE, got type {msg_type:#04x}")
+        raise BadTypeError(f"expected AUTH_RESPONSE, got type {msg_type:#04x}")
     if len(payload) < 2:
-        raise MalformedResponseError(f"response payload too short: {len(payload)} bytes")
-    status = payload[0]
-    if status not in REASON_BY_STATUS:
-        raise MalformedResponseError(f"unknown status byte {status:#04x}")
-    reason = REASON_BY_STATUS[status]
-    recovered = Bits(payload[1:]) if reason in (Reason.OK, Reason.CHECK_FAILED) else None
-    return AuthDecision(reason, recovered)
+        raise MalformedFrameError(f"response payload too short: {len(payload)} bytes")
+    if payload[0] not in REASON_BY_STATUS:
+        raise MalformedFrameError(f"unknown status byte {payload[0]:#04x}")
+    recovered = payload[1:]
+    return AuthDecision(REASON_BY_STATUS[payload[0]], Bits(recovered) if recovered.strip(b"\0") else None)
 
 
 def _recv_frame(conn: socket.socket, deadline: float) -> bytes:
@@ -261,7 +254,7 @@ class AuthServer:
         except BadTypeError:
             self.audit(self.clock(), peer, None, "BAD_TYPE")
             return
-        except (MalformedFrameError, OSError, ValueError):
+        except (MalformedFrameError, OSError):
             self.audit(self.clock(), peer, None, "MALFORMED_FRAME")
             return
         ts = self.clock()  # the receipt time, read once: the decision's t_star and the audit line's ts
@@ -302,18 +295,11 @@ def client_login(
     """Build a login request at the current clock, send it, parse the verdict."""
     req = make_login_request(card, typed_pw, clock())
     try:
-        conn = socket.create_connection(address, timeout=timeout)
-    except OSError as exc:
-        raise ConnectionFailedError(f"cannot connect to {address[0]}:{address[1]}: {exc}") from exc
-    deadline = time.monotonic() + timeout  # for the whole exchange, as on the server
-    with conn:
-        try:
+        with socket.create_connection(address, timeout=timeout) as conn:
+            deadline = time.monotonic() + timeout  # for the whole exchange, as on the server
             conn.sendall(encode_login_request(req))
             conn.shutdown(socket.SHUT_WR)
-        except OSError as exc:
-            raise ConnectionFailedError(f"send failed: {exc}") from exc
-        try:
             frame = _recv_frame(conn, deadline)
-        except (MalformedFrameError, OSError) as exc:
-            raise MalformedResponseError(f"no valid response: {exc}") from exc
+    except OSError as exc:
+        raise ConnectionFailedError(f"exchange with {address[0]}:{address[1]} failed: {exc}") from exc
     return decode_auth_response(frame)

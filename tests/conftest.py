@@ -1,4 +1,5 @@
 import random
+import socket
 
 import pytest
 
@@ -22,6 +23,18 @@ def as_int(b: Bits) -> int:
 
 def as_bits(v: int, width: int = 256) -> Bits:
     return Bits(v.to_bytes(width // 8, "big"))
+
+
+def exchange(address: tuple[str, int], frame: bytes) -> tuple[str, bytes]:
+    """Send one frame on a fresh connection; the peer as the server names it, and the reply."""
+    with socket.create_connection(address, timeout=5) as conn:
+        peer = "%s:%s" % conn.getsockname()[:2]
+        conn.sendall(frame)
+        conn.shutdown(socket.SHUT_WR)
+        reply = b""
+        while chunk := conn.recv(4096):
+            reply += chunk
+    return peer, reply
 
 
 @pytest.fixture

@@ -10,14 +10,13 @@ import concurrent.futures
 import io
 import logging
 import random
-import socket
 import time
 from pathlib import Path
 
 import pytest
 
 import oracle
-from conftest import make_strawman, as_int, random_bits, recording_submit
+from conftest import make_strawman, as_int, exchange, random_bits, recording_submit
 from authlab.attack import Scenario, run_random_password_attack
 from authlab.bits import hash_bytes
 from authlab.clock import fixed_clock
@@ -32,8 +31,12 @@ from authlab.protocol import (
 from authlab.storage import ServerConfig
 from authlab.wire import (
     AuthServer,
+    BadTypeError,
+    MalformedFrameError,
     client_login,
+    decode_auth_response,
     decode_login_request,
+    encode_auth_response,
     encode_frame,
     encode_login_request,
 )
@@ -294,23 +297,12 @@ def test_a9_fuzz_robustness():
     handler = logging.StreamHandler(crash_log)
     logging.getLogger("authlab.wire").addHandler(handler)
 
-    def poke(address, frame: bytes) -> bytes:
-        with socket.create_connection(address, timeout=5) as conn:
-            conn.sendall(frame)
-            conn.shutdown(socket.SHUT_WR)
-            chunks = []
-            while True:
-                chunk = conn.recv(4096)
-                if not chunk:
-                    return b"".join(chunks)
-                chunks.append(chunk)
-
     bad_accepts = 0
     io_failures = 0
     try:
         with AuthServer(ServerConfig(secrets, ("127.0.0.1", 0)), fixed_clock(NOW), audit_stream=io.StringIO()) as srv:
             with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
-                responses = list(pool.map(lambda f: poke(srv.address, f), frames))
+                responses = [reply for _, reply in pool.map(lambda f: exchange(srv.address, f), frames)]
             for frame, response in zip(frames, responses):
                 if len(response) >= 7 and response[6] == 0x00:
                     # wire-level accept: the in-process checker must agree
@@ -329,4 +321,41 @@ def test_a9_fuzz_robustness():
         "A9 robustness (10000-frame fuzz stream)",
         crashes == 0 and bad_accepts == 0 and io_failures == 0 and survived,
         f"crashes {crashes}, inconsistent accepts {bad_accepts}, server survived={survived}",
+    )
+
+
+def test_a9_decoders_raise_only_codec_errors():
+    rng = random.Random(111)
+    secrets = ServerSecrets(x=random_bits(rng), y=random_bits(rng))
+    card = issue_card(b"fuzz-owner", secrets)
+    decision = authenticate(secrets, make_login_request(card, b"fuzz-owner", NOW), t_star=NOW)
+    reply = encode_auth_response(decision, 256)
+    inputs = _fuzz_frames(card, 10_000)
+    for _ in range(10_000):
+        kind = rng.randrange(3)
+        payload = rng.randbytes(rng.randint(0, 300))
+        if kind == 0:
+            inputs.append(payload)
+        elif kind == 1:  # any type and version; a declared length that mostly matches
+            header = bytes([rng.choice([0x01, 0x02, rng.randrange(256)]), rng.choice([0x01, rng.randrange(256)])])
+            declared = rng.choice([len(payload), len(payload), rng.randrange(1 << 32)])
+            inputs.append(header + declared.to_bytes(4, "big") + payload)
+        else:  # a reply with one byte changed, cut short or grown
+            mutated = bytearray(reply)
+            mutated[rng.randrange(len(mutated))] ^= rng.randint(1, 255)
+            inputs.append(bytes(mutated[: rng.choice([len(mutated), rng.randrange(len(mutated))])]) + payload[:1])
+
+    others = []
+    for data in inputs:
+        for decode in (decode_login_request, decode_auth_response):
+            try:
+                decode(data)
+            except (MalformedFrameError, BadTypeError):
+                pass
+            except Exception as exc:
+                others.append(f"{decode.__name__}({data.hex()}): {exc!r}")
+    _report(
+        f"A9 decoders ({len(inputs)} inputs, both decoders)",
+        not others,
+        f"{len(others)} exceptions other than MalformedFrameError or BadTypeError" + (f", first {others[0]}" if others else ""),
     )

@@ -1,5 +1,7 @@
 import importlib.util
 import json
+import platform
+import ssl
 from pathlib import Path
 
 import pytest
@@ -54,6 +56,10 @@ def test_summarises_every_pair(bench_pairs, capsys):
     assert ops["parent"]["runs"] == [100.0 + seed for seed in range(1, 11)]
     assert ops["change_better_in_pairs"] == "10/10"
     assert doc["per_layer"]["w"]["change"]["metrics"] == {"ops_per_s": 121.0}
+    # which build ran it: the interpreter, its version and the OpenSSL it links
+    assert doc["env"]["python"] == platform.python_version()
+    assert doc["env"]["implementation"] == platform.python_implementation()
+    assert doc["env"]["openssl"] == ssl.OPENSSL_VERSION
 
 
 def test_run_without_result_keeps_the_runs_so_far(bench_pairs, capsys):

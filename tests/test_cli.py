@@ -139,6 +139,18 @@ class TestLogin:
         assert code == 1
         assert json.loads(out)["reason"] == "STALE_TIMESTAMP"
 
+    def test_server_of_another_width_rejects_with_no_hash(self, tmp_path, live_server, fake_now, capsys):
+        x_hex, y_hex = (hash_bytes(label, "sha512").hex() for label in (b"server-x", b"server-y"))
+        config = write_config(tmp_path, x_hex=x_hex, y_hex=y_hex, hash_id="sha512")
+        card = str(tmp_path / "wide.card")
+        assert main(["register", "--config", str(config), "--out", card, "--password", PW]) == 0
+        capsys.readouterr()
+        code = main(["login", "--card", card, "--server", live_server, "--password", PW])  # a sha256 server
+        out = capsys.readouterr().out
+        assert code == 1
+        assert '"recovered_hpw": null' in out
+        assert json.loads(out) == {"accepted": False, "reason": "CHECK_FAILED", "recovered_hpw": None}
+
     def test_unreachable_server_exits_5(self, card_path, capsys):
         code = main(["login", "--card", str(card_path), "--server", "127.0.0.1:1", "--password", PW])
         assert code == 5

@@ -7,12 +7,13 @@ import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import oracle
-from conftest import GOLDEN_PW, as_int, random_bits
+from conftest import GOLDEN_PW, as_bits, as_int, exchange, random_bits
 from authlab.bits import Bits, hash_bytes
 from authlab.clock import fixed_clock
 from authlab.protocol import AuthDecision, LoginRequest, Reason, authenticate, make_login_request
@@ -24,7 +25,6 @@ from authlab.wire import (
     BadTypeError,
     ConnectionFailedError,
     MalformedFrameError,
-    MalformedResponseError,
     client_login,
     decode_auth_response,
     decode_frame,
@@ -121,17 +121,14 @@ class TestResponseCodec:
             AuthDecision(Reason.STALE_TIMESTAMP),
             AuthDecision(Reason.FUTURE_TIMESTAMP),
             AuthDecision(Reason.CHECK_FAILED, hash_bytes(b"other")),
+            AuthDecision(Reason.OK),
+            AuthDecision(Reason.STALE_TIMESTAMP, hash_bytes(b"pw")),
+            AuthDecision(Reason.FUTURE_TIMESTAMP, hash_bytes(b"pw")),
+            AuthDecision(Reason.CHECK_FAILED),  # as for a request of another width, never unblinded
         ],
     )
     def test_round_trip(self, decision):
-        encoded = encode_auth_response(decision, 256)
-        decoded = decode_auth_response(encoded)
-        assert decoded.accepted == decision.accepted
-        assert decoded.reason == decision.reason
-        if decision.reason in (Reason.OK, Reason.CHECK_FAILED):
-            assert decoded.recovered_hpw == decision.recovered_hpw
-        else:
-            assert decoded.recovered_hpw is None
+        assert decode_auth_response(encode_auth_response(decision, 256)) == decision
 
     def test_recovered_hash_is_exactly_bits(self):
         for decision in (
@@ -148,23 +145,23 @@ class TestResponseCodec:
         assert payload == b"\x01" + bytes(32)
 
     def test_unknown_status_rejected(self):
-        with pytest.raises(MalformedResponseError):
+        with pytest.raises(MalformedFrameError):
             decode_auth_response(encode_frame(MSG_AUTH_RESPONSE, b"\x07" + bytes(32)))
 
     def test_short_payload_rejected(self):
-        with pytest.raises(MalformedResponseError):
+        with pytest.raises(MalformedFrameError):
             decode_auth_response(encode_frame(MSG_AUTH_RESPONSE, b"\x00"))
 
     @pytest.mark.parametrize(
-        "frame, message",
+        "frame, error, message",
         [
-            (encode_frame(MSG_LOGIN_REQUEST, b"\x00" + bytes(32)), "expected AUTH_RESPONSE, got type 0x01"),
-            (bytes([MSG_AUTH_RESPONSE, 0x02, 0, 0, 0, 33]) + bytes(33), "unsupported version: 0x02"),
+            (encode_frame(MSG_LOGIN_REQUEST, b"\x00" + bytes(32)), BadTypeError, "expected AUTH_RESPONSE, got type 0x01"),
+            (bytes([MSG_AUTH_RESPONSE, 0x02, 0, 0, 0, 33]) + bytes(33), MalformedFrameError, "unsupported version: 0x02"),
         ],
         ids=["login_request_type", "version_2"],
     )
-    def test_other_type_or_version_rejected(self, frame, message):
-        with pytest.raises(MalformedResponseError, match=message):
+    def test_other_type_or_version_rejected(self, frame, error, message):
+        with pytest.raises(error, match=message):
             decode_auth_response(frame)
 
 
@@ -208,18 +205,12 @@ class TestServer:
         assert decision.reason is Reason.STALE_TIMESTAMP
 
     def test_garbage_gets_no_response(self, live_server, audit):
-        with socket.create_connection(live_server.address, timeout=5) as conn:
-            conn.sendall(b"this is not a frame")
-            conn.shutdown(socket.SHUT_WR)
-            assert conn.recv(64) == b""
+        assert exchange(live_server.address, b"this is not a frame")[1] == b""
         assert '"reason": "MALFORMED_FRAME"' in audit.getvalue()
 
     def test_wrong_frame_type_gets_no_response(self, live_server, audit):
         frame = encode_frame(MSG_AUTH_RESPONSE, b"\x00" + bytes(32))
-        with socket.create_connection(live_server.address, timeout=5) as conn:
-            conn.sendall(frame)
-            conn.shutdown(socket.SHUT_WR)
-            assert conn.recv(64) == b""
+        assert exchange(live_server.address, frame)[1] == b""
         assert '"reason": "BAD_TYPE"' in audit.getvalue()
 
     def test_audit_line_per_request(self, live_server, card, now, audit):
@@ -245,10 +236,7 @@ class TestServer:
 
     def test_server_survives_malformed_then_keeps_serving(self, live_server, card, now):
         for payload in (b"", b"\x00", bytes.fromhex(GOLDEN_FRAME_HEX)[:20], b"\xff" * 200):
-            with socket.create_connection(live_server.address, timeout=5) as conn:
-                conn.sendall(payload)
-                conn.shutdown(socket.SHUT_WR)
-                conn.recv(64)
+            exchange(live_server.address, payload)
         assert client_login(live_server.address, card, GOLDEN_PW, fixed_clock(now)).accepted
 
     def test_verdict_equals_in_process_decoder(self, live_server, card, now, audit):
@@ -266,17 +254,28 @@ class TestServer:
             (honest, b"junk after the frame", "OK"),  # one frame is read, the rest ignored
         ]
         for frame, after, reason in cases:
-            with socket.create_connection(live_server.address, timeout=5) as conn:
-                conn.sendall(frame + after)
-                conn.shutdown(socket.SHUT_WR)
-                reply = b""
-                while chunk := conn.recv(4096):
-                    reply += chunk
+            _, reply = exchange(live_server.address, frame + after)
             audited = json.loads(audit.getvalue().splitlines()[-1])["reason"]
             assert (audited, reply) == in_process_verdict(live_server.config, frame, now)
             assert audited == reason
         with pytest.raises(MalformedFrameError):
             decode_login_request(honest + b"junk after the frame")
+
+    def test_decoded_reply_equals_in_process_decision(self, live_server, server_secrets, card, now):
+        rng = random.Random(44)
+        honest = make_login_request(card, GOLDEN_PW, now)
+        requests = {
+            "honest": honest,
+            "stale": make_login_request(card, GOLDEN_PW, now - 120),
+            "future": make_login_request(card, GOLDEN_PW, now + 60),
+            "tampered": replace(honest, c_i=honest.c_i ^ as_bits(1)),
+            # fields of another width than the server's 32 bytes: refused before any hash is recovered
+            **{f"{n}-byte": LoginRequest(*(Bits(rng.randbytes(n)) for _ in range(3)), now) for n in (8, 16, 64)},
+        }
+        for name, req in requests.items():
+            frame = encode_login_request(req)
+            reply = decode_auth_response(exchange(live_server.address, frame)[1])
+            assert reply == authenticate(server_secrets, decode_login_request(frame), now), name
 
     def test_frame_in_pieces_answered_once(self, live_server, card, now, audit):
         frame = encode_login_request(make_login_request(card, GOLDEN_PW, now))
@@ -306,18 +305,6 @@ class TestServer:
         host, port = live_server.address
         assert host == "127.0.0.1"
         assert port > 0
-
-
-def exchange(address: tuple[str, int], frame: bytes) -> tuple[str, bytes]:
-    """Send one frame on a fresh connection; the peer as the server names it, and the reply."""
-    with socket.create_connection(address, timeout=5) as conn:
-        peer = "%s:%s" % conn.getsockname()[:2]
-        conn.sendall(frame)
-        conn.shutdown(socket.SHUT_WR)
-        reply = b""
-        while chunk := conn.recv(4096):
-            reply += chunk
-    return peer, reply
 
 
 def ipv6_loopback() -> bool:
@@ -529,9 +516,34 @@ class TestClient:
             fake_server = threading.Thread(target=trickle_reply, daemon=True)
             fake_server.start()
             start = time.monotonic()
-            with pytest.raises(MalformedResponseError):
+            with pytest.raises(ConnectionFailedError):
                 client_login(listener.getsockname()[:2], card, GOLDEN_PW, fixed_clock(now), timeout=timeout)
             took = time.monotonic() - start
             fake_server.join(timeout=5)
         assert took < timeout + 0.5
         assert not fake_server.is_alive()  # its next send met the closed client
+
+    @pytest.mark.parametrize(
+        "reply, error",
+        [
+            (encode_frame(MSG_LOGIN_REQUEST, b"\x00" + bytes(32)), BadTypeError),
+            (bytes([MSG_AUTH_RESPONSE, 0x02, 0, 0, 0, 33]) + bytes(33), MalformedFrameError),
+        ],
+        ids=["login_request_type", "version_2"],
+    )
+    def test_codec_error_in_reply_passes_through(self, card, now, reply, error):
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+
+            def answer() -> None:
+                conn, _ = listener.accept()
+                with conn:
+                    while conn.recv(4096):  # read the whole request, so the close is not a reset
+                        pass
+                    conn.sendall(reply)
+
+            fake_server = threading.Thread(target=answer, daemon=True)
+            fake_server.start()
+            with pytest.raises(error):
+                client_login(listener.getsockname()[:2], card, GOLDEN_PW, fixed_clock(now), timeout=5)
+            fake_server.join(timeout=5)
+        assert not fake_server.is_alive()

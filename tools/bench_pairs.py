@@ -24,6 +24,7 @@ import argparse
 import json
 import os
 import platform
+import ssl
 import statistics
 import subprocess
 import sys
@@ -102,6 +103,8 @@ def main(argv: list[str] | None = None) -> int:
         seconds = benchmark["run_seconds"]
         env = {
             "python": platform.python_version(),
+            "implementation": platform.python_implementation(),
+            "openssl": ssl.OPENSSL_VERSION,
             "nproc": os.cpu_count(),
             "parent_sha": shas["parent"],
             "change_sha": shas["change"],
