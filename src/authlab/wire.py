@@ -148,10 +148,17 @@ def decode_auth_response(data: bytes) -> AuthDecision:
     return AuthDecision(REASON_BY_STATUS[payload[0]], Bits(recovered) if recovered.strip(b"\0") else None)
 
 
+def _family(host: str) -> socket.AddressFamily:
+    """IPv6 exactly when host is an IPv6 literal; a host name resolves as IPv4."""
+    return socket.AF_INET6 if ":" in host else socket.AF_INET
+
+
 def _recv_frame(conn: socket.socket, deadline: float) -> bytes:
     """One whole frame, read before a monotonic deadline. Each recv asks for
     a maximal frame; the header is checked as soon as it is in, and bytes
-    past the frame it declares are dropped."""
+    past the frame it declares are dropped. A peer that closes before
+    sending a byte raises ConnectionError, one that cuts a frame short
+    MalformedFrameError."""
     buf = b""
     size = None
     while size is None or len(buf) < size:
@@ -161,6 +168,8 @@ def _recv_frame(conn: socket.socket, deadline: float) -> bytes:
         conn.settimeout(left)
         chunk = conn.recv(_HEADER.size + MAX_PAYLOAD)
         if not chunk:
+            if not buf:
+                raise ConnectionError("connection closed before any byte")
             raise MalformedFrameError(f"connection closed with {len(buf)} bytes in")
         buf += chunk
         if size is None and len(buf) >= _HEADER.size:
@@ -194,8 +203,7 @@ class AuthServer:
         self._closing = False
         # a burst of a few dozen connects meeting a busy pool must wait in the
         # backlog, not overflow it: with a backlog of 5, peers were reset
-        family = socket.AF_INET6 if ":" in config.bind_address[0] else socket.AF_INET  # an IPv6 literal
-        self._socket = socket.create_server(config.bind_address, family=family, backlog=128)
+        self._socket = socket.create_server(config.bind_address, family=_family(config.bind_address[0]), backlog=128)
         # actually bound (host, port); the port is resolved even when bound to 0
         self.address: tuple[str, int] = self._socket.getsockname()[:2]
         self._handlers = [
@@ -292,10 +300,18 @@ def client_login(
     *,
     timeout: float = 10.0,
 ) -> AuthDecision:
-    """Build a login request at the current clock, send it, parse the verdict."""
+    """Build a login request at the current clock, send it, parse the verdict.
+
+    The socket is IPv6 exactly when the host is an IPv6 literal, and an IP
+    literal is connected to without being resolved; a host name resolves as
+    IPv4. timeout bounds the connect, then the rest of the exchange as one
+    deadline. Every OSError on the way raises ConnectionFailedError naming
+    the address."""
     req = make_login_request(card, typed_pw, clock())
     try:
-        with socket.create_connection(address, timeout=timeout) as conn:
+        with socket.socket(_family(address[0])) as conn:
+            conn.settimeout(timeout)
+            conn.connect(address)
             deadline = time.monotonic() + timeout  # for the whole exchange, as on the server
             conn.sendall(encode_login_request(req))
             conn.shutdown(socket.SHUT_WR)

@@ -11,19 +11,31 @@ TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
 BENCHMARK = {
     "run_seconds": 1,
     "workloads": [{"name": "w"}],
-    "end_to_end": [{"name": "ops_per_s", "unit": "1/s", "better": "higher", "bound": 0.25}],
+    "end_to_end": [
+        {"name": "ops_per_s", "unit": "1/s", "better": "higher", "bound": 0.25},
+        {"name": "latency_p50_us", "unit": "us", "better": "lower", "bound": 0.25},
+        {"name": "setup_s", "unit": "s", "better": "lower", "bound": 0.25},
+        {"name": "correct_ratio", "unit": "ratio", "better": "higher", "bound": 0.01},
+        {"name": "latency_p99_us", "unit": "us", "better": "lower", "bound": 0.01},
+    ],
 }
 
 # Stands in for authbench/run.py: prints a result line, except on FAIL_SEED,
-# where it exits 1 with a message on stderr and nothing on stdout.
+# where it exits 1 with a message on stderr and nothing on stdout. Most metrics
+# read 100 + seed at the parent, and the change adds an offset; latency_p99_us
+# reads 1 on seeds 1-5 and 9 on 6-10 at the parent, and 0.5 at the change.
 FAKE_RUN = """\
 import json, os, sys
 args = dict(zip(sys.argv[1::2], sys.argv[2::2]))
 if args["--seed"] == "{fail_seed}":
     sys.exit("authbench: gate failed on seed " + args["--seed"])
-ops = {{"parent": 100.0, "change": 110.0}}[os.path.basename(os.getcwd())] + int(args["--seed"])
+change = os.path.basename(os.getcwd()) == "change"
+seed = int(args["--seed"])
+offsets = {{"ops_per_s": 10.0, "latency_p50_us": 100.0, "setup_s": 1.0, "correct_ratio": 0.5}}
+values = {{name: 100.0 + seed + change * offset for name, offset in offsets.items()}}
+values["latency_p99_us"] = 0.5 if change else 1.0 if seed <= 5 else 9.0
 print(json.dumps({{"correct": True, "attempted": 5, "failed": 0,
-                  "metrics": {{"ops_per_s": {{"value": ops, "unit": "1/s"}}}}}}))
+                  "metrics": {{name: {{"value": value, "unit": "-"}} for name, value in values.items()}}}}))
 """
 
 
@@ -55,7 +67,19 @@ def test_summarises_every_pair(bench_pairs, capsys):
     ops = doc["workloads"]["w"]["metrics"]["ops_per_s"]
     assert ops["parent"]["runs"] == [100.0 + seed for seed in range(1, 11)]
     assert ops["change_better_in_pairs"] == "10/10"
-    assert doc["per_layer"]["w"]["change"]["metrics"] == {"ops_per_s": 121.0}
+    assert doc["per_layer"]["w"]["change"]["metrics"] == {
+        "ops_per_s": 121.0, "latency_p50_us": 211.0, "setup_s": 112.0, "correct_ratio": 111.5, "latency_p99_us": 0.5
+    }
+    # parent runs 101 .. 110: q1 103.25, median 105.5, q3 107.75
+    verdicts = {name: m["verdict"] for name, m in doc["workloads"]["w"]["metrics"].items()}
+    assert verdicts == {
+        "ops_per_s": "gain",  # 10/10 pairs, +10 against an IQR of 4.5
+        "latency_p50_us": "regression",  # +100 us, over 25% worse
+        "setup_s": "within_bound",  # +1 s, under 1% worse
+        "correct_ratio": "unresolved",  # 10/10 pairs but +0.5; IQR/median 4.3% over a 1% bound
+        # every change run beats every parent run, by less than the IQR (q1 1, median 5, q3 9)
+        "latency_p99_us": "within_bound",
+    }
     # which build ran it: the interpreter, its version and the OpenSSL it links
     assert doc["env"]["python"] == platform.python_version()
     assert doc["env"]["implementation"] == platform.python_implementation()

@@ -341,6 +341,7 @@ class TestAuditLine:
             (encode_login_request(make_login_request(card, GOLDEN_PW, now + 60)), "reject", "FUTURE_TIMESTAMP"),
             (tampered, "reject", "CHECK_FAILED"),
             (honest[:-1], "reject", "MALFORMED_FRAME"),
+            (b"", "reject", "MALFORMED_FRAME"),  # closed before any byte
             (bytes([MSG_AUTH_RESPONSE]) + honest[1:], "reject", "BAD_TYPE"),
         ]
         with AuthServer(ServerConfig(server_secrets, (host, 0)), fixed_clock(now), audit_stream=audit) as srv:
@@ -498,6 +499,45 @@ class TestBoundedServer:
 
 
 class TestClient:
+    @pytest.mark.parametrize("host", ["::1", "localhost"], ids=["ipv6_literal", "name_as_ipv4"])
+    def test_family_follows_the_host(self, host, server_secrets, card, now, audit):
+        if host == "::1" and not ipv6_loopback():
+            pytest.skip("no IPv6 loopback")
+        bind_host = "::1" if host == "::1" else "127.0.0.1"
+        with AuthServer(ServerConfig(server_secrets, (bind_host, 0)), fixed_clock(now), audit_stream=audit) as srv:
+            decision = client_login((host, srv.address[1]), card, GOLDEN_PW, fixed_clock(now))
+        assert decision.reason is Reason.OK
+        assert decision.recovered_hpw == hash_bytes(GOLDEN_PW)
+
+    def test_connect_bounded_by_timeout(self, card, now):
+        timeout = 0.3
+        with socket.create_server(("127.0.0.1", 0), backlog=0) as listener:
+            # the held peer fills the accept queue of a listener that never accepts,
+            # so the kernel drops the client's SYN and its connect cannot complete
+            with socket.create_connection(listener.getsockname(), timeout=5):
+                start = time.monotonic()
+                with pytest.raises(ConnectionFailedError):
+                    client_login(listener.getsockname()[:2], card, GOLDEN_PW, fixed_clock(now), timeout=timeout)
+                took = time.monotonic() - start
+        assert took < timeout + 0.5
+
+    def test_close_without_reply_names_the_address(self, card, now):
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+
+            def read_and_close() -> None:
+                conn, _ = listener.accept()
+                with conn:
+                    while conn.recv(4096):  # read the whole request, so the close is not a reset
+                        pass
+
+            fake_server = threading.Thread(target=read_and_close, daemon=True)
+            fake_server.start()
+            host, port = listener.getsockname()[:2]
+            with pytest.raises(ConnectionFailedError, match=f"exchange with {host}:{port} failed"):
+                client_login((host, port), card, GOLDEN_PW, fixed_clock(now), timeout=5)
+            fake_server.join(timeout=5)
+        assert not fake_server.is_alive()
+
     def test_trickling_reply_cut_at_timeout(self, card, now):
         timeout = 0.2
         reply = encode_auth_response(AuthDecision(Reason.OK, hash_bytes(GOLDEN_PW)), 256)

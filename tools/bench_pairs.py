@@ -9,9 +9,13 @@ workload and seeds 1 .. 10, the parent first on odd seeds. Then one
 length N and the end-to-end metrics with their bounds come from the parent's
 BENCHMARK.json. For each metric and side the file holds every run, the
 median and the quartiles; for each metric, the change's median relative to
-the parent's, the parent's IQR/median, and the number of pairs in which the
-change reads better (ties count for neither side). Stdlib only; runs one
-benchmark process at a time.
+the parent's, the parent's IQR/median, the number of pairs in which the
+change reads better (ties count for neither side), and a verdict:
+`gain` when the change wins at least 9 of 10 pairs and its median is better
+by more than the parent's q3 - q1; else `regression` when its median is
+worse by more than the metric's bound; else `unresolved` when the parent's
+IQR/median exceeds the bound and not every change run beats every parent
+run; else `within_bound`. Stdlib only; runs one benchmark process at a time.
 
 A run that prints no result line stops the tool: it writes the runs made so
 far, that run's command, exit code and stderr tail, to the output file and
@@ -72,6 +76,22 @@ def summary(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "runs": values}
 
 
+def verdict(sign: int, bound: float, p: dict, c: dict, wins: int) -> str:
+    """One metric's reading, by the rule in the module docstring, from the
+    summaries p and c; sign is 1 where higher is better, -1 where lower is."""
+    gained = sign * (c["median"] - p["median"])
+    spread = p["q3"] - p["q1"]
+    if 10 * wins >= 9 * len(p["runs"]) and gained > spread:
+        return "gain"
+    if -gained > bound * abs(p["median"]):
+        return "regression"
+    if spread > bound * abs(p["median"]) and not all(
+        sign * (after - before) > 0 for before in p["runs"] for after in c["runs"]
+    ):
+        return "unresolved"
+    return "within_bound"
+
+
 def compare(spec: dict, parent: list[float], change: list[float]) -> dict:
     sign = 1 if spec["better"] == "higher" else -1
     wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
@@ -85,6 +105,7 @@ def compare(spec: dict, parent: list[float], change: list[float]) -> dict:
         "change_vs_parent": c["median"] / p["median"] - 1 if p["median"] else None,
         "parent_iqr_over_median": (p["q3"] - p["q1"]) / p["median"] if p["median"] else None,
         "change_better_in_pairs": f"{wins}/{len(parent)}",
+        "verdict": verdict(sign, spec["bound"], p, c, wins),
     }
 
 
