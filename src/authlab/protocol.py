@@ -20,6 +20,7 @@ faithful to the scheme under study, not an implementation bug.
 
 from __future__ import annotations
 
+import functools
 import hmac
 from dataclasses import dataclass, field
 from enum import Enum
@@ -149,8 +150,19 @@ def issue_card(pw: Password, secrets: ServerSecrets, hash_id: str = DEFAULT_HASH
     return SmartcardState(n_i=n_i, y=secrets.y, hash_id=hash_id, k=n_i.width)
 
 
+# Entries kept by _h's cache: three per (n_i xor y, t), about 221 KB at 1024 for sha256.
+_H_CACHE_SIZE = 1024
+
+
+@functools.lru_cache(maxsize=_H_CACHE_SIZE)
 def _h(v: int, n: int, new: Callable[[bytes], Any]) -> int:
-    """h() of the n-byte big-endian value v, as an int; new gives n-byte digests."""
+    """h() of the n-byte big-endian value v, as an int; new gives n-byte digests.
+
+    Every call in a login hashes a value fixed by n_i xor y and t alone (the
+    typed password cancels out of cid xor hpw), so a second login of one card
+    in one second, or every trial of an attack at one clock second, finds all
+    three in the cache. The key (v, n, new) names the value, its width and the
+    hash, so a hit returns what a miss computes; h(pw') never comes here."""
     return int.from_bytes(new(v.to_bytes(n, "big")).digest(), "big")
 
 

@@ -1,3 +1,4 @@
+import importlib
 import importlib.util
 import json
 import platform
@@ -6,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+REPO = Path(__file__).resolve().parent.parent
+TOOL = REPO / "tools" / "bench_pairs.py"
 
 BENCHMARK = {
     "run_seconds": 1,
@@ -19,6 +21,16 @@ BENCHMARK = {
         {"name": "latency_p99_us", "unit": "us", "better": "lower", "bound": 0.01},
     ],
 }
+
+# Stands in for each side's authlab.bits: hasher resolves a constructor named after the side.
+FAKE_BITS = """\
+def {side}_sha256(data=b""):
+    raise NotImplementedError
+
+
+def hasher(hash_id):
+    return {side}_sha256, 32
+"""
 
 # Stands in for authbench/run.py: prints a result line, except on FAIL_SEED,
 # where it exits 1 with a message on stderr and nothing on stdout. Most metrics
@@ -40,22 +52,30 @@ print(json.dumps({{"correct": True, "attempted": 5, "failed": 0,
 
 
 @pytest.fixture
-def bench_pairs(monkeypatch, tmp_path):
-    """Runs the tool on fake checkouts whose run fails on fail_seed; returns its exit code and the JSON it wrote."""
+def tool():
     spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture
+def bench_pairs(tool, monkeypatch, tmp_path):
+    """Runs the tool on fake checkouts whose run fails on fail_seed; returns its exit code and the JSON it wrote."""
 
     def run(fail_seed):
         def fake_export(rev, dest):
             (dest / "authbench").mkdir(parents=True)
+            (dest / "src" / "authlab").mkdir(parents=True)
             (dest / "BENCHMARK.json").write_text(json.dumps(BENCHMARK))
             (dest / "authbench" / "run.py").write_text(FAKE_RUN.format(fail_seed=fail_seed))
+            (dest / "src" / "authlab" / "__init__.py").write_text("")
+            (dest / "src" / "authlab" / "bits.py").write_text(FAKE_BITS.format(side=dest.name))
             return rev
 
-        monkeypatch.setattr(module, "export", fake_export)
+        monkeypatch.setattr(tool, "export", fake_export)
         out = tmp_path / "BENCH.json"
-        code = module.main(["--parent", "p", "--change", "c", "--out", str(out)])
+        code = tool.main(["--parent", "p", "--change", "c", "--out", str(out)])
         return code, json.loads(out.read_text())
 
     return run
@@ -84,6 +104,22 @@ def test_summarises_every_pair(bench_pairs, capsys):
     assert doc["env"]["python"] == platform.python_version()
     assert doc["env"]["implementation"] == platform.python_implementation()
     assert doc["env"]["openssl"] == ssl.OPENSSL_VERSION
+    # and the sha256 constructor each side's own bits.hasher picks
+    assert doc["env"]["sha256_constructor"] == {
+        "parent": "authlab.bits.parent_sha256", "change": "authlab.bits.change_sha256"
+    }
+
+
+def test_names_the_constructor_this_tree_resolves(tool, tmp_path):
+    from authlab.bits import hasher
+
+    module_name, name = tool.sha256_constructor(REPO).rsplit(".", 1)
+    assert getattr(importlib.import_module(module_name), name) is hasher("sha256")[0]
+    # a tree whose bits has no hasher, as before there was one
+    (tmp_path / "src" / "authlab").mkdir(parents=True)
+    (tmp_path / "src" / "authlab" / "__init__.py").write_text("")
+    (tmp_path / "src" / "authlab" / "bits.py").write_text("")
+    assert tool.sha256_constructor(tmp_path) is None
 
 
 def test_run_without_result_keeps_the_runs_so_far(bench_pairs, capsys):

@@ -1,13 +1,16 @@
 import hashlib
 import random
+import sys
+import threading
 from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
 import oracle
-from conftest import GOLDEN_PW, as_bits, as_int, random_bits
-from authlab.bits import Bits, hash_bits, hash_bytes
+from conftest import GOLDEN_PW, GOLDEN_T, as_bits, as_int, random_bits
+from authlab.bits import Bits, hash_bits, hash_bytes, hash_width, hasher
 from authlab.protocol import (
+    _H_CACHE_SIZE,
     AuthDecision,
     LoginRequest,
     Reason,
@@ -16,6 +19,7 @@ from authlab.protocol import (
     change_password,
     issue_card,
     make_login_request,
+    _h,
     register_user,
 )
 
@@ -51,6 +55,13 @@ GOLDEN_512_HPW = (
 
 def random_secrets(rng: random.Random) -> ServerSecrets:
     return ServerSecrets(x=random_bits(rng), y=random_bits(rng))
+
+
+def oracle_decision(secrets: ServerSecrets, req: LoginRequest, hash_id: str = "sha256") -> tuple[Reason, int]:
+    """The reason and the recovered password hash the oracle gives for a fresh request."""
+    width = req.cid.width
+    srv = oracle.server_values(as_int(req.cid), as_int(req.n_i), as_int(secrets.y), req.t, hash_id, width)
+    return Reason.OK if srv["expected_c_i"] == as_int(req.c_i) else Reason.CHECK_FAILED, srv["recovered_hpw"]
 
 
 class TestRegistration:
@@ -391,3 +402,92 @@ class TestOracleEquivalence:
         new = change_password(card, b"old", b"new")
         expected = oracle.changed_registration_value(as_int(card.n_i), b"old", b"new")
         assert as_int(new.n_i) == expected
+
+
+class TestHashCache:
+    """_h keeps a bounded cache; a hit must give exactly what a miss computes."""
+
+    @pytest.mark.parametrize("hash_id", ["sha256", "sha512"])
+    def test_shuffled_logins_of_three_cards_match_the_oracle(self, hash_id):
+        _h.cache_clear()
+        width = hash_width(hash_id)
+        rng = random.Random(17)
+        secrets = ServerSecrets(x=random_bits(rng, width), y=random_bits(rng, width))
+        cards = [issue_card(rng.randbytes(8), secrets, hash_id) for _ in range(3)]
+        cases = [
+            (card, GOLDEN_T + dt, rng.randbytes(rng.randint(0, 24))) for card in cards for dt in range(5) for _ in range(4)
+        ]
+        rng.shuffle(cases)
+        for card, t, pw in cases:
+            ref = oracle.login_values(pw, as_int(card.n_i), as_int(secrets.y), t, hash_id, width)
+            req = make_login_request(card, pw, t)
+            assert (as_int(req.cid), req.n_i, as_int(req.c_i), req.t) == (ref["cid"], card.n_i, ref["c_i"], t)
+            # the request as sent, with its check value tampered, and with another card's n_i
+            other = rng.choice([c for c in cards if c is not card])
+            for sent in (req, replace(req, c_i=req.c_i ^ as_bits(1, width)), replace(req, n_i=other.n_i)):
+                decision = authenticate(secrets, sent, t_star=t, hash_id=hash_id)
+                assert (decision.reason, as_int(decision.recovered_hpw)) == oracle_decision(secrets, sent, hash_id)
+        assert _h.cache_info().hits > 0
+
+    def test_each_hash_gets_its_own_digest_of_one_int(self):
+        _h.cache_clear()
+        # sha3_256 has sha256's width, so only the constructor in the key tells their digests apart
+        for hash_id in ("sha256", "sha3_256", "sha512"):
+            new, n = hasher(hash_id)
+            assert _h(GOLDEN_T, n, new) == oracle.sha_int(GOLDEN_T, hash_id, n * 8)
+
+    def test_random_n_i_leaves_the_cache_at_its_bound(self, card, server_secrets, now):
+        _h.cache_clear()
+        rng = random.Random(18)
+        req = make_login_request(card, GOLDEN_PW, now)
+        for _ in range(2 * _H_CACHE_SIZE):
+            forged = replace(req, n_i=random_bits(rng))
+            decision = authenticate(server_secrets, forged, t_star=now)
+            assert (decision.reason, as_int(decision.recovered_hpw)) == oracle_decision(server_secrets, forged)
+        assert _h.cache_info().currsize == _H_CACHE_SIZE
+        assert authenticate(server_secrets, req, t_star=now).accepted
+
+    def test_threads_evicting_each_other_get_the_oracle_values(self, server_secrets, now):
+        _h.cache_clear()
+        cards = [issue_card(bytes([i]), server_secrets) for i in range(4)]
+        y = as_int(server_secrets.y)
+        expected = {
+            (i, t, pw): oracle.login_values(pw, as_int(card.n_i), y, t)
+            for i, card in enumerate(cards) for t in range(now, now + 4) for pw in (b"a", b"b")
+        }
+        wrong = []
+
+        def log_in(seed):
+            rng = random.Random(seed)
+            for _ in range(200):
+                i, t, pw = rng.choice(list(expected))
+                req = make_login_request(cards[i], pw, t)
+                decision = authenticate(server_secrets, req, t_star=t)
+                if (as_int(req.cid), as_int(req.c_i)) != (expected[i, t, pw]["cid"], expected[i, t, pw]["c_i"]):
+                    wrong.append((i, t, pw))
+                if not decision.accepted or as_int(decision.recovered_hpw) != expected[i, t, pw]["hpw"]:
+                    wrong.append((i, t, pw, decision))
+
+        def forge(seed):
+            # each forged n_i adds three entries, so these threads keep evicting the others' values
+            rng = random.Random(seed)
+            req = make_login_request(cards[0], b"a", now)
+            for _ in range(200):
+                forged = replace(req, n_i=random_bits(rng))
+                decision = authenticate(server_secrets, forged, t_star=now)
+                if (decision.reason, as_int(decision.recovered_hpw)) != oracle_decision(server_secrets, forged):
+                    wrong.append(forged)
+
+        threads = [threading.Thread(target=log_in if k % 2 else forge, args=(k,)) for k in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+        assert _h.cache_info().currsize <= _H_CACHE_SIZE

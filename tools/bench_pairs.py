@@ -7,10 +7,13 @@ Exports both revisions with `git archive` into a temporary directory and runs
 workload and seeds 1 .. 10, the parent first on odd seeds. Then one
 `--trace 1` run per side and workload on seed 11. The workloads, the run
 length N and the end-to-end metrics with their bounds come from the parent's
-BENCHMARK.json. For each metric and side the file holds every run, the
-median and the quartiles; for each metric, the change's median relative to
-the parent's, the parent's IQR/median, the number of pairs in which the
-change reads better (ties count for neither side), and a verdict:
+BENCHMARK.json. `env` names the build: the interpreter, the OpenSSL it
+links, and for each side the sha256 constructor that side's `bits.hasher`
+resolves (null where its `authlab.bits` cannot be imported). For each metric
+and side the file holds every run, the median and the quartiles; for each
+metric, the change's median relative to the parent's, the parent's
+IQR/median, the number of pairs in which the change reads better (ties
+count for neither side), and a verdict:
 `gain` when the change wins at least 9 of 10 pairs and its median is better
 by more than the parent's q3 - q1; else `regression` when its median is
 worse by more than the metric's bound; else `unresolved` when the parent's
@@ -43,6 +46,13 @@ TRACE_SEED = 11
 STDERR_TAIL = 4000  # characters of a failed run's stderr kept in the output file
 
 
+# Prints the module and name of the sha256 constructor that bits.hasher resolves in the checkout it runs in.
+HASHER_PROBE = (
+    "import sys; sys.path.insert(0, 'src'); from authlab.bits import hasher; new = hasher('sha256')[0]; "
+    "print(f'{new.__module__}.{new.__qualname__}')"
+)
+
+
 class NoResult(Exception):
     """A benchmark run that printed no result line; args[0] describes it."""
 
@@ -57,6 +67,12 @@ def export(rev: str, dest: Path) -> str:
     archive = subprocess.run(["git", "-C", str(REPO), "archive", sha], check=True, capture_output=True).stdout
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
     return sha
+
+
+def sha256_constructor(checkout: Path) -> str | None:
+    """The sha256 constructor that checkout's bits.hasher resolves, as module.name; None if the probe fails."""
+    done = subprocess.run([sys.executable, "-c", HASHER_PROBE], cwd=checkout, capture_output=True, text=True)
+    return done.stdout.strip() if done.returncode == 0 else None
 
 
 def bench(checkout: Path, workload: str, seed: int, seconds: int, trace: int) -> tuple[int, dict]:
@@ -130,6 +146,7 @@ def main(argv: list[str] | None = None) -> int:
             "parent_sha": shas["parent"],
             "change_sha": shas["change"],
             "host": f"{platform.system()} {platform.machine()}",
+            "sha256_constructor": {side: sha256_constructor(checkouts[side]) for side in SIDES},
         }
 
         runs = {w: {side: [] for side in SIDES} for w in workloads}
