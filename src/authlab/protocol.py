@@ -8,7 +8,8 @@ the request alone plus the shared card secret, and accepts on a bit-exact
 match inside a freshness window. Password change rewrites the registration
 value in place.
 
-Everything here is deterministic and side-effect free; this module has no
+Everything here is deterministic and side-effect free; the one piece of
+state, the bounded cache of _h, never changes a result. This module has no
 opinion about transport, persistence, or clocks. Login and authentication
 compute on ints and emit big-endian k-bit bytes.
 
@@ -150,7 +151,7 @@ def issue_card(pw: Password, secrets: ServerSecrets, hash_id: str = DEFAULT_HASH
     return SmartcardState(n_i=n_i, y=secrets.y, hash_id=hash_id, k=n_i.width)
 
 
-# Entries kept by _h's cache: three per (n_i xor y, t), about 221 KB at 1024 for sha256.
+# Entries kept by _h's cache: three per (n_i xor y, t), about 222 KB at 1024 for sha256.
 _H_CACHE_SIZE = 1024
 
 

@@ -15,11 +15,11 @@ from authlab.protocol import (
     LoginRequest,
     Reason,
     ServerSecrets,
+    _h,
     authenticate,
     change_password,
     issue_card,
     make_login_request,
-    _h,
     register_user,
 )
 
