@@ -12,6 +12,7 @@ the report's tag.
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 from dataclasses import dataclass, field
@@ -20,18 +21,24 @@ from typing import Callable
 
 from authlab.clock import Clock
 from authlab.protocol import (
+    DEFAULT_SKEW_SECS,
     DEFAULT_WINDOW_SECS,
     AuthDecision,
     Password,
     Reason,
     ServerSecrets,
     SmartcardState,
+    _h,
     authenticate,
     make_login_request,
 )
 
 # password generator bounds: any byte value, length 0..64 inclusive
 MAX_PASSWORD_LEN = 64
+
+# entries of a run's memo of _h: three values per side for one clock second
+# (the card's and the server's differ when the card's y is not the server's)
+MEMO_SIZE = 6
 
 # submit(card, typed_pw, t) -> decision; the default builds a request at t and
 # authenticates in-process, alternatives may go over the network
@@ -87,6 +94,8 @@ def run_random_password_attack(
     clock: Clock,
     *,
     window_secs: int = DEFAULT_WINDOW_SECS,
+    skew_secs: int = DEFAULT_SKEW_SECS,
+    hash_id: str | None = None,
     submit: Submit | None = None,
     scenario: Scenario = Scenario.RANDOM_PASSWORD,
 ) -> AttackReport:
@@ -95,18 +104,26 @@ def run_random_password_attack(
     Deterministic given (seed, clock): passwords come from a seeded PRNG and
     every timestamp from the injected clock. `submit` defaults to building the
     request and authenticating in-process with a fresh receipt time, under
-    `window_secs`, the card's `hash_id` and the default skew; a caller with a
-    whole server policy (`cmd_attack`) passes a `submit` that uses it. The
-    card is never modified; `scenario` only tags the report.
+    `window_secs`, `skew_secs` and `hash_id` (the card's when None). The card
+    is never modified; `scenario` only tags the report.
+
+    The default submit hashes with a memo of _h made for this run. After
+    h(pw'), each side hashes only values fixed by n_i xor y and t, and a
+    clock gives whole seconds, so every trial after the first in a clock
+    second finds them there. The memo holds no password or password hash,
+    keeps MEMO_SIZE entries, and ends with the run.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
 
     if submit is None:
+        h = functools.lru_cache(maxsize=MEMO_SIZE)(_h)
+
         def submit(c: SmartcardState, pw: Password, t: int) -> AuthDecision:
-            req = make_login_request(c, pw, t)
+            req = make_login_request(c, pw, t, h=h)
             return authenticate(
-                secrets, req, t_star=clock(), window_secs=window_secs, hash_id=c.hash_id
+                secrets, req, t_star=clock(), window_secs=window_secs, skew_secs=skew_secs,
+                hash_id=c.hash_id if hash_id is None else hash_id, h=h,
             )
 
     rng = random.Random(seed)

@@ -20,7 +20,7 @@ from contextlib import nullcontext
 from authlab.attack import Scenario, run_random_password_attack
 from authlab.bits import parse_digits
 from authlab.clock import Clock, clock_from_env
-from authlab.protocol import AuthDecision, change_password, issue_card, make_login_request
+from authlab.protocol import AuthDecision, change_password, issue_card
 from authlab.storage import (
     CardFileError,
     ConfigError,
@@ -152,12 +152,8 @@ def cmd_change_password(args: argparse.Namespace, clock: Clock) -> int:
 def cmd_attack(args: argparse.Namespace, clock: Clock) -> int:
     card = load_card(args.card)
     config = load_server_config(args.config)
-    if args.remote is None:
-
-        def submit(c, pw, t):
-            return config.authenticate(make_login_request(c, pw, t), clock())
-
-    else:
+    submit = None  # in-process, under the config's policy
+    if args.remote is not None:
         try:
             address = parse_address(args.remote) if args.remote else config.bind_address
         except ValueError as exc:
@@ -170,7 +166,8 @@ def cmd_attack(args: argparse.Namespace, clock: Clock) -> int:
     scenario = Scenario[args.scenario.upper().replace("-", "_")]
     try:
         report = run_random_password_attack(
-            card, config.secrets, args.trials, args.seed, clock, submit=submit, scenario=scenario
+            card, config.secrets, args.trials, args.seed, clock, window_secs=config.window_secs,
+            skew_secs=config.skew_secs, hash_id=config.hash_id, submit=submit, scenario=scenario,
         )
     except WireError as exc:
         _diag(f"remote attack failed: {exc}")

@@ -8,8 +8,7 @@ the request alone plus the shared card secret, and accepts on a bit-exact
 match inside a freshness window. Password change rewrites the registration
 value in place.
 
-Everything here is deterministic and side-effect free; the one piece of
-state, the bounded cache of _h, never changes a result. This module has no
+Everything here is deterministic and side-effect free; this module has no
 opinion about transport, persistence, or clocks. Login and authentication
 compute on ints and emit big-endian k-bit bytes.
 
@@ -21,7 +20,6 @@ faithful to the scheme under study, not an implementation bug.
 
 from __future__ import annotations
 
-import functools
 import hmac
 from dataclasses import dataclass, field
 from enum import Enum
@@ -151,23 +149,16 @@ def issue_card(pw: Password, secrets: ServerSecrets, hash_id: str = DEFAULT_HASH
     return SmartcardState(n_i=n_i, y=secrets.y, hash_id=hash_id, k=n_i.width)
 
 
-# Entries kept by _h's cache: three per (n_i xor y, t), about 222 KB at 1024 for sha256.
-_H_CACHE_SIZE = 1024
+# The k-bit hash of a login, as _h computes it: (v, n, new) -> h(v) as an int.
+KHash = Callable[[int, int, Callable[[bytes], Any]], int]
 
 
-@functools.lru_cache(maxsize=_H_CACHE_SIZE)
 def _h(v: int, n: int, new: Callable[[bytes], Any]) -> int:
-    """h() of the n-byte big-endian value v, as an int; new gives n-byte digests.
-
-    Every call in a login hashes a value fixed by n_i xor y and t alone (the
-    typed password cancels out of cid xor hpw), so a second login of one card
-    in one second, or every trial of an attack at one clock second, finds all
-    three in the cache. The key (v, n, new) names the value, its width and the
-    hash, so a hit returns what a miss computes; h(pw') never comes here."""
+    """h() of the n-byte big-endian value v, as an int; new gives n-byte digests."""
     return int.from_bytes(new(v.to_bytes(n, "big")).digest(), "big")
 
 
-def make_login_request(card: SmartcardState, typed_pw: Password, t: int) -> LoginRequest:
+def make_login_request(card: SmartcardState, typed_pw: Password, t: int, *, h: KHash = _h) -> LoginRequest:
     """Card side of login, with hpw = h(typed_pw) and t as a k-bit value:
 
         cid = hpw xor h(n_i xor y xor t)
@@ -177,15 +168,19 @@ def make_login_request(card: SmartcardState, typed_pw: Password, t: int) -> Logi
     The typed password is *not* checked against anything: the card stores no
     verifier, so any byte string is accepted here and, by construction of the
     server check, later.
+
+    h computes the three hashes after h(typed_pw). Each hashes a value fixed
+    by n_i xor y and t alone (cid xor hpw is h(n_i xor y xor t)), which is
+    why an attack run may pass a memo of _h that lasts for the run.
     """
     if not 0 <= t <= MAX_TIMESTAMP:
         raise ValueError(f"timestamp out of 64-bit range: {t}")
     new, n = hasher(card.hash_id)  # the card checked that its hash gives k bits
     n_y = card.n_y
     hpw = int.from_bytes(new(typed_pw).digest(), "big")
-    cid = hpw ^ _h(n_y ^ t, n, new)
-    b = _h(cid ^ hpw, n, new)
-    c_i = _h(t ^ n_y ^ b, n, new)
+    cid = hpw ^ h(n_y ^ t, n, new)
+    b = h(cid ^ hpw, n, new)
+    c_i = h(t ^ n_y ^ b, n, new)
     return LoginRequest(Bits(cid.to_bytes(n, "big")), card.n_i, Bits(c_i.to_bytes(n, "big")), t)
 
 
@@ -197,6 +192,7 @@ def authenticate(
     *,
     skew_secs: int = DEFAULT_SKEW_SECS,
     hash_id: str = DEFAULT_HASH_ID,
+    h: KHash = _h,
 ) -> AuthDecision:
     """Server side of login, evaluated at receipt time t_star.
 
@@ -208,6 +204,9 @@ def authenticate(
 
     The server keeps no per-user state and never touches its master secret x
     here; the shared card secret y and the request fields are all it uses.
+    h is as for make_login_request. A server keeps the plain _h: a memo
+    shared by its clients would keep what they send, and its hit or miss
+    timing would tell any client whether another card logged in at some t.
     """
     if window_secs <= 0:
         raise ValueError(f"window_secs must be positive, got {window_secs}")
@@ -223,9 +222,9 @@ def authenticate(
         raise ValueError(f"width mismatch: {hash_id} gives {digest_size * 8} bits, not {n * 8}")
     cid = int.from_bytes(req.cid, "big")
     n_y = int.from_bytes(req.n_i, "big") ^ secrets.y_int
-    recovered_hpw = cid ^ _h(n_y ^ req.t, n, new)
-    b = _h(cid ^ recovered_hpw, n, new)
-    ok = hmac.compare_digest(_h(req.t ^ n_y ^ b, n, new).to_bytes(n, "big"), req.c_i)
+    recovered_hpw = cid ^ h(n_y ^ req.t, n, new)
+    b = h(cid ^ recovered_hpw, n, new)
+    ok = hmac.compare_digest(h(req.t ^ n_y ^ b, n, new).to_bytes(n, "big"), req.c_i)
     return AuthDecision(Reason.OK if ok else Reason.CHECK_FAILED, Bits(recovered_hpw.to_bytes(n, "big")))
 
 

@@ -6,10 +6,11 @@ from dataclasses import FrozenInstanceError, replace
 import pytest
 
 from conftest import make_strawman, random_bits, recording_submit
+from authlab import attack
 from authlab.attack import Scenario, run_random_password_attack
 from authlab.bits import hash_bytes
 from authlab.clock import fixed_clock
-from authlab.protocol import Reason, ServerSecrets, authenticate, issue_card, make_login_request
+from authlab.protocol import Reason, ServerSecrets, _h, authenticate, issue_card, make_login_request
 
 # Random.Random(139) draws an empty password first; frozen for the empty-trial test
 EMPTY_FIRST_SEED = 139
@@ -74,6 +75,40 @@ class TestRandomPasswordAttack:
         report = run_random_password_attack(card, server_secrets, 64, 3, fixed_clock(now))
         assert report.accepted == sum(t.accepted for t in report.trial_log)
         assert len(report.trial_log) == report.trials
+
+    def test_each_clock_second_hashes_its_three_values_once(self, card, server_secrets, now, monkeypatch):
+        hashed = []
+
+        def counting_h(v, n, new):
+            hashed.append(v)
+            return _h(v, n, new)
+
+        monkeypatch.setattr(attack, "_h", counting_h)
+        reads = []
+
+        def clock():
+            # each trial reads the clock twice; a new second every 50 trials
+            reads.append(None)
+            return now + (len(reads) - 1) // 100
+
+        report = run_random_password_attack(card, server_secrets, 200, 5, clock)
+        assert report.accepted == 200
+        # the card's y is the server's, so both sides hash the same three values
+        assert len(hashed) == len(set(hashed)) == 3 * 4
+
+    def test_default_submit_keeps_the_policy(self, card, server_secrets, now):
+        ahead = iter([now + 10, now] * 4)  # each trial's t, then its receipt time
+
+        def clock():
+            return next(ahead)
+
+        report = run_random_password_attack(card, server_secrets, 2, 1, clock)
+        assert report.trial_log == (Reason.FUTURE_TIMESTAMP,) * 2
+        report = run_random_password_attack(card, server_secrets, 1, 1, clock, skew_secs=10)
+        assert report.trial_log == (Reason.OK,)
+        # sha3_256 has the card's width but not its hash
+        report = run_random_password_attack(card, server_secrets, 1, 1, clock, skew_secs=10, hash_id="sha3_256")
+        assert report.trial_log == (Reason.CHECK_FAILED,)
 
     def test_log_holds_one_reference_per_trial(self, card, server_secrets, now):
         # a tuple slot is 8 bytes and every trial shares its Reason member, so

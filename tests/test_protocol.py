@@ -1,16 +1,15 @@
+import functools
 import hashlib
 import random
-import sys
-import threading
 from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
 import oracle
 from conftest import GOLDEN_PW, GOLDEN_T, as_bits, as_int, random_bits
+from authlab.attack import MEMO_SIZE
 from authlab.bits import Bits, hash_bits, hash_bytes, hash_width, hasher
 from authlab.protocol import (
-    _H_CACHE_SIZE,
     AuthDecision,
     LoginRequest,
     Reason,
@@ -404,12 +403,16 @@ class TestOracleEquivalence:
         assert as_int(new.n_i) == expected
 
 
-class TestHashCache:
-    """_h keeps a bounded cache; a hit must give exactly what a miss computes."""
+class TestRunMemo:
+    """An attack run hashes with a memo of _h; a hit must give exactly what _h computes."""
+
+    @staticmethod
+    def memo():
+        return functools.lru_cache(maxsize=MEMO_SIZE)(_h)
 
     @pytest.mark.parametrize("hash_id", ["sha256", "sha512"])
     def test_shuffled_logins_of_three_cards_match_the_oracle(self, hash_id):
-        _h.cache_clear()
+        h = self.memo()
         width = hash_width(hash_id)
         rng = random.Random(17)
         secrets = ServerSecrets(x=random_bits(rng, width), y=random_bits(rng, width))
@@ -420,74 +423,44 @@ class TestHashCache:
         rng.shuffle(cases)
         for card, t, pw in cases:
             ref = oracle.login_values(pw, as_int(card.n_i), as_int(secrets.y), t, hash_id, width)
-            req = make_login_request(card, pw, t)
+            req = make_login_request(card, pw, t, h=h)
             assert (as_int(req.cid), req.n_i, as_int(req.c_i), req.t) == (ref["cid"], card.n_i, ref["c_i"], t)
             # the request as sent, with its check value tampered, and with another card's n_i
             other = rng.choice([c for c in cards if c is not card])
             for sent in (req, replace(req, c_i=req.c_i ^ as_bits(1, width)), replace(req, n_i=other.n_i)):
-                decision = authenticate(secrets, sent, t_star=t, hash_id=hash_id)
+                decision = authenticate(secrets, sent, t_star=t, hash_id=hash_id, h=h)
                 assert (decision.reason, as_int(decision.recovered_hpw)) == oracle_decision(secrets, sent, hash_id)
-        assert _h.cache_info().hits > 0
+        assert h.cache_info().hits > 0
+        assert h.cache_info().currsize == MEMO_SIZE
 
     def test_each_hash_gets_its_own_digest_of_one_int(self):
-        _h.cache_clear()
+        h = self.memo()
         # sha3_256 has sha256's width, so only the constructor in the key tells their digests apart
         for hash_id in ("sha256", "sha3_256", "sha512"):
             new, n = hasher(hash_id)
-            assert _h(GOLDEN_T, n, new) == oracle.sha_int(GOLDEN_T, hash_id, n * 8)
+            assert h(GOLDEN_T, n, new) == _h(GOLDEN_T, n, new) == oracle.sha_int(GOLDEN_T, hash_id, n * 8)
 
-    def test_random_n_i_leaves_the_cache_at_its_bound(self, card, server_secrets, now):
-        _h.cache_clear()
-        rng = random.Random(18)
-        req = make_login_request(card, GOLDEN_PW, now)
-        for _ in range(2 * _H_CACHE_SIZE):
-            forged = replace(req, n_i=random_bits(rng))
-            decision = authenticate(server_secrets, forged, t_star=now)
-            assert (decision.reason, as_int(decision.recovered_hpw)) == oracle_decision(server_secrets, forged)
-        assert _h.cache_info().currsize == _H_CACHE_SIZE
-        assert authenticate(server_secrets, req, t_star=now).accepted
+    def test_what_h_hashes_depends_on_card_and_t_alone(self, card, server_secrets, now):
+        # so a memo keyed on what h hashes never holds a password or its hash
+        def recording(seen):
+            def h(v, n, new):
+                seen.append(v)
+                return _h(v, n, new)
+            return h
 
-    def test_threads_evicting_each_other_get_the_oracle_values(self, server_secrets, now):
-        _h.cache_clear()
-        cards = [issue_card(bytes([i]), server_secrets) for i in range(4)]
-        y = as_int(server_secrets.y)
-        expected = {
-            (i, t, pw): oracle.login_values(pw, as_int(card.n_i), y, t)
-            for i, card in enumerate(cards) for t in range(now, now + 4) for pw in (b"a", b"b")
-        }
-        wrong = []
+        runs = []
+        for pw in (b"", GOLDEN_PW, b"x" * 64):
+            seen = []
+            req = make_login_request(card, pw, now, h=recording(seen))
+            authenticate(server_secrets, req, t_star=now, h=recording(seen))
+            assert as_int(hash_bytes(pw)) not in seen
+            runs.append(seen)
+        assert runs[0] == runs[1] == runs[2]
+        assert len(runs[0]) == 6
+        assert runs[0][:3] == runs[0][3:]  # the server hashes what the card hashed
 
-        def log_in(seed):
-            rng = random.Random(seed)
-            for _ in range(200):
-                i, t, pw = rng.choice(list(expected))
-                req = make_login_request(cards[i], pw, t)
-                decision = authenticate(server_secrets, req, t_star=t)
-                if (as_int(req.cid), as_int(req.c_i)) != (expected[i, t, pw]["cid"], expected[i, t, pw]["c_i"]):
-                    wrong.append((i, t, pw))
-                if not decision.accepted or as_int(decision.recovered_hpw) != expected[i, t, pw]["hpw"]:
-                    wrong.append((i, t, pw, decision))
-
-        def forge(seed):
-            # each forged n_i adds three entries, so these threads keep evicting the others' values
-            rng = random.Random(seed)
-            req = make_login_request(cards[0], b"a", now)
-            for _ in range(200):
-                forged = replace(req, n_i=random_bits(rng))
-                decision = authenticate(server_secrets, forged, t_star=now)
-                if (decision.reason, as_int(decision.recovered_hpw)) != oracle_decision(server_secrets, forged):
-                    wrong.append(forged)
-
-        threads = [threading.Thread(target=log_in if k % 2 else forge, args=(k,)) for k in range(6)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert wrong == []
-        assert _h.cache_info().currsize <= _H_CACHE_SIZE
+    def test_a_server_hashes_without_a_memo(self):
+        # a memo shared by a server's clients would time one card's logins for another client
+        assert make_login_request.__kwdefaults__["h"] is _h
+        assert authenticate.__kwdefaults__["h"] is _h
+        assert not hasattr(_h, "cache_info")
