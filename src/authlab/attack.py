@@ -28,7 +28,7 @@ from authlab.protocol import (
     Reason,
     ServerSecrets,
     SmartcardState,
-    _h,
+    _chain,
     authenticate,
     make_login_request,
 )
@@ -36,9 +36,9 @@ from authlab.protocol import (
 # password generator bounds: any byte value, length 0..64 inclusive
 MAX_PASSWORD_LEN = 64
 
-# entries of a run's memo of _h: three values per side for one clock second
+# entries of a run's memo of _chain: one per side for one clock second
 # (the card's and the server's differ when the card's y is not the server's)
-MEMO_SIZE = 6
+MEMO_SIZE = 2
 
 # submit(card, typed_pw, t) -> decision; the default builds a request at t and
 # authenticates in-process, alternatives may go over the network
@@ -107,23 +107,21 @@ def run_random_password_attack(
     `window_secs`, `skew_secs` and `hash_id` (the card's when None). The card
     is never modified; `scenario` only tags the report.
 
-    The default submit hashes with a memo of _h made for this run. After
-    h(pw'), each side hashes only values fixed by n_i xor y and t, and a
-    clock gives whole seconds, so every trial after the first in a clock
-    second finds them there. The memo holds no password or password hash,
-    keeps MEMO_SIZE entries, and ends with the run.
+    The default submit hashes with a memo of _chain made for this run, of
+    MEMO_SIZE entries. A clock gives whole seconds, so every trial after the
+    first in a clock second finds its chain there.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
 
     if submit is None:
-        h = functools.lru_cache(maxsize=MEMO_SIZE)(_h)
+        chain = functools.lru_cache(maxsize=MEMO_SIZE)(_chain)
 
         def submit(c: SmartcardState, pw: Password, t: int) -> AuthDecision:
-            req = make_login_request(c, pw, t, h=h)
+            req = make_login_request(c, pw, t, chain=chain)
             return authenticate(
                 secrets, req, t_star=clock(), window_secs=window_secs, skew_secs=skew_secs,
-                hash_id=c.hash_id if hash_id is None else hash_id, h=h,
+                hash_id=c.hash_id if hash_id is None else hash_id, chain=chain,
             )
 
     rng = random.Random(seed)

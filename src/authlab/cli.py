@@ -159,6 +159,9 @@ def cmd_attack(args: argparse.Namespace, clock: Clock) -> int:
         except ValueError as exc:
             _diag(str(exc))
             return EXIT_BAD_INPUT
+        if address[1] == 0:  # a config's default: bind to any free port, which no client can name
+            _diag(f"cannot connect to port 0 of {address[0]}; pass --remote HOST:PORT with the server's port")
+            return EXIT_BAD_INPUT
 
         def submit(c, pw, t):
             return client_login(address, c, pw, clock)

@@ -149,16 +149,23 @@ def issue_card(pw: Password, secrets: ServerSecrets, hash_id: str = DEFAULT_HASH
     return SmartcardState(n_i=n_i, y=secrets.y, hash_id=hash_id, k=n_i.width)
 
 
-# The k-bit hash of a login, as _h computes it: (v, n, new) -> h(v) as an int.
-KHash = Callable[[int, int, Callable[[bytes], Any]], int]
-
-
 def _h(v: int, n: int, new: Callable[[bytes], Any]) -> int:
     """h() of the n-byte big-endian value v, as an int; new gives n-byte digests."""
     return int.from_bytes(new(v.to_bytes(n, "big")).digest(), "big")
 
 
-def make_login_request(card: SmartcardState, typed_pw: Password, t: int, *, h: KHash = _h) -> LoginRequest:
+def _chain(n_y: int, t: int, n: int, new: Callable[[bytes], Any]) -> tuple[int, int]:
+    """The hashes a login takes from n_i xor y and t: a = h(n_y xor t) and
+    c = h(t xor n_y xor h(a)), both sides' blind and check value."""
+    a = _h(n_y ^ t, n, new)
+    return a, _h(t ^ n_y ^ _h(a, n, new), n, new)
+
+
+# (n_y, t, n, new) -> (a, c), as _chain computes them
+Chain = Callable[[int, int, int, Callable[[bytes], Any]], tuple[int, int]]
+
+
+def make_login_request(card: SmartcardState, typed_pw: Password, t: int, *, chain: Chain = _chain) -> LoginRequest:
     """Card side of login, with hpw = h(typed_pw) and t as a k-bit value:
 
         cid = hpw xor h(n_i xor y xor t)
@@ -167,20 +174,13 @@ def make_login_request(card: SmartcardState, typed_pw: Password, t: int, *, h: K
 
     The typed password is *not* checked against anything: the card stores no
     verifier, so any byte string is accepted here and, by construction of the
-    server check, later.
-
-    h computes the three hashes after h(typed_pw). Each hashes a value fixed
-    by n_i xor y and t alone (cid xor hpw is h(n_i xor y xor t)), which is
-    why an attack run may pass a memo of _h that lasts for the run.
+    server check, later. cid xor hpw is a = h(n_i xor y xor t), so b is h(a).
     """
     if not 0 <= t <= MAX_TIMESTAMP:
         raise ValueError(f"timestamp out of 64-bit range: {t}")
     new, n = hasher(card.hash_id)  # the card checked that its hash gives k bits
-    n_y = card.n_y
-    hpw = int.from_bytes(new(typed_pw).digest(), "big")
-    cid = hpw ^ h(n_y ^ t, n, new)
-    b = h(cid ^ hpw, n, new)
-    c_i = h(t ^ n_y ^ b, n, new)
+    a, c_i = chain(card.n_y, t, n, new)
+    cid = int.from_bytes(new(typed_pw).digest(), "big") ^ a
     return LoginRequest(Bits(cid.to_bytes(n, "big")), card.n_i, Bits(c_i.to_bytes(n, "big")), t)
 
 
@@ -192,7 +192,7 @@ def authenticate(
     *,
     skew_secs: int = DEFAULT_SKEW_SECS,
     hash_id: str = DEFAULT_HASH_ID,
-    h: KHash = _h,
+    chain: Chain = _chain,
 ) -> AuthDecision:
     """Server side of login, evaluated at receipt time t_star.
 
@@ -204,9 +204,9 @@ def authenticate(
 
     The server keeps no per-user state and never touches its master secret x
     here; the shared card secret y and the request fields are all it uses.
-    h is as for make_login_request. A server keeps the plain _h: a memo
-    shared by its clients would keep what they send, and its hit or miss
-    timing would tell any client whether another card logged in at some t.
+    A server keeps the plain _chain: a memo shared by its clients would keep
+    what they send, and its hit or miss timing would tell any client whether
+    another card logged in at some t.
     """
     if window_secs <= 0:
         raise ValueError(f"window_secs must be positive, got {window_secs}")
@@ -220,11 +220,9 @@ def authenticate(
     new, digest_size = hasher(hash_id)
     if digest_size != n:
         raise ValueError(f"width mismatch: {hash_id} gives {digest_size * 8} bits, not {n * 8}")
-    cid = int.from_bytes(req.cid, "big")
-    n_y = int.from_bytes(req.n_i, "big") ^ secrets.y_int
-    recovered_hpw = cid ^ h(n_y ^ req.t, n, new)
-    b = h(cid ^ recovered_hpw, n, new)
-    ok = hmac.compare_digest(h(req.t ^ n_y ^ b, n, new).to_bytes(n, "big"), req.c_i)
+    a, c = chain(int.from_bytes(req.n_i, "big") ^ secrets.y_int, req.t, n, new)
+    ok = hmac.compare_digest(c.to_bytes(n, "big"), req.c_i)
+    recovered_hpw = int.from_bytes(req.cid, "big") ^ a
     return AuthDecision(Reason.OK if ok else Reason.CHECK_FAILED, Bits(recovered_hpw.to_bytes(n, "big")))
 
 

@@ -192,6 +192,7 @@ class AuthServer:
 
     io_timeout = 5.0
     handler_cap = 8
+    accept_retry_secs = 0.05  # the pause after a failed accept(), e.g. when out of descriptors
 
     def __init__(
         self, config: ServerConfig, clock: Clock = system_clock, *, audit_stream: IO[str] | None = None
@@ -200,7 +201,7 @@ class AuthServer:
         self.clock = clock
         self._audit_stream = audit_stream if audit_stream is not None else sys.stderr
         self._audit_lock = threading.Lock()
-        self._closing = False
+        self._closing = threading.Event()
         # a burst of a few dozen connects meeting a busy pool must wait in the
         # backlog, not overflow it: with a backlog of 5, peers were reset
         self._socket = socket.create_server(config.bind_address, family=_family(config.bind_address[0]), backlog=128)
@@ -216,7 +217,7 @@ class AuthServer:
     def close(self) -> None:
         """Stop accepting; each handler finishes the connection it holds, then
         exits. Peers still in the backlog are reset."""
-        self._closing = True
+        self._closing.set()
         try:
             # on Linux this fails every accept() blocked on the socket
             self._socket.shutdown(socket.SHUT_RDWR)
@@ -237,9 +238,11 @@ class AuthServer:
             try:
                 conn, client_address = self._socket.accept()
             except OSError:
-                if self._closing:
+                # Linux reserves a descriptor for each handler blocked in accept(), so when they
+                # run out the others fail at once: pause, not spin; the peer stays in the backlog
+                if self._closing.wait(self.accept_retry_secs):
                     return
-                continue  # e.g. out of descriptors; the peer stays in the backlog
+                continue
             peer = "%s:%s" % client_address[:2]
             try:
                 self._handle(conn, peer)

@@ -6,11 +6,11 @@ from dataclasses import FrozenInstanceError, replace
 import pytest
 
 from conftest import make_strawman, random_bits, recording_submit
-from authlab import attack
+from authlab import attack, protocol
 from authlab.attack import Scenario, run_random_password_attack
 from authlab.bits import hash_bytes
 from authlab.clock import fixed_clock
-from authlab.protocol import Reason, ServerSecrets, _h, authenticate, issue_card, make_login_request
+from authlab.protocol import Reason, ServerSecrets, _chain, _h, authenticate, issue_card, make_login_request
 
 # Random.Random(139) draws an empty password first; frozen for the empty-trial test
 EMPTY_FIRST_SEED = 139
@@ -83,7 +83,29 @@ class TestRandomPasswordAttack:
             hashed.append(v)
             return _h(v, n, new)
 
-        monkeypatch.setattr(attack, "_h", counting_h)
+        monkeypatch.setattr(protocol, "_h", counting_h)
+        report = run_random_password_attack(card, server_secrets, 200, 5, self.four_second_clock(now))
+        assert report.accepted == 200
+        # the card's y is the server's, so both sides hash the same three values
+        assert len(hashed) == len(set(hashed)) == 3 * 4
+
+    def test_a_card_of_another_y_keeps_both_chains_of_a_second(self, server_secrets, now, monkeypatch):
+        chained = []
+
+        def counting_chain(n_y, t, n, new):
+            chained.append((n_y, t))
+            return _chain(n_y, t, n, new)
+
+        monkeypatch.setattr(attack, "_chain", counting_chain)
+        other = ServerSecrets(x=server_secrets.x, y=random_bits(random.Random(8)))
+        card = issue_card(b"pw", other)
+        report = run_random_password_attack(card, server_secrets, 200, 5, self.four_second_clock(now))
+        assert report.accepted == 0
+        # the card's chain and the server's differ, and each is computed once per second
+        assert len(chained) == len(set(chained)) == 2 * 4
+
+    @staticmethod
+    def four_second_clock(now):
         reads = []
 
         def clock():
@@ -91,10 +113,7 @@ class TestRandomPasswordAttack:
             reads.append(None)
             return now + (len(reads) - 1) // 100
 
-        report = run_random_password_attack(card, server_secrets, 200, 5, clock)
-        assert report.accepted == 200
-        # the card's y is the server's, so both sides hash the same three values
-        assert len(hashed) == len(set(hashed)) == 3 * 4
+        return clock
 
     def test_default_submit_keeps_the_policy(self, card, server_secrets, now):
         ahead = iter([now + 10, now] * 4)  # each trial's t, then its receipt time

@@ -303,6 +303,23 @@ class TestAttack:
         assert code == 0
         assert json.loads(out)["accepted"] == 3
 
+    @pytest.mark.parametrize("bind_address, remote", [
+        (None, []),  # bind_address missing: the loader's default port 0
+        ("127.0.0.1:0", []),
+        ("127.0.0.1:7878", ["127.0.0.1:0"]),
+    ])
+    def test_remote_port_zero_exits_2(self, card_path, tmp_path, bind_address, remote, capsys):
+        config = write_config(tmp_path, bind_address=bind_address)
+        if bind_address is None:
+            doc = json.loads(config.read_text())
+            del doc["bind_address"]
+            config.write_text(json.dumps(doc))
+        code = main(["attack", "--card", str(card_path), "--config", str(config), "--trials", "2", "--remote", *remote])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert "cannot connect to port 0 of 127.0.0.1; pass --remote HOST:PORT" in err
+
     def test_remote_mode_unreachable_exits_5(self, card_path, config_path, fake_now, capsys):
         code = main([
             "attack", "--card", str(card_path), "--config", str(config_path),

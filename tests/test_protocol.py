@@ -14,6 +14,7 @@ from authlab.protocol import (
     LoginRequest,
     Reason,
     ServerSecrets,
+    _chain,
     _h,
     authenticate,
     change_password,
@@ -404,15 +405,15 @@ class TestOracleEquivalence:
 
 
 class TestRunMemo:
-    """An attack run hashes with a memo of _h; a hit must give exactly what _h computes."""
+    """An attack run hashes with a memo of _chain; a hit must give exactly what _chain computes."""
 
     @staticmethod
     def memo():
-        return functools.lru_cache(maxsize=MEMO_SIZE)(_h)
+        return functools.lru_cache(maxsize=MEMO_SIZE)(_chain)
 
     @pytest.mark.parametrize("hash_id", ["sha256", "sha512"])
     def test_shuffled_logins_of_three_cards_match_the_oracle(self, hash_id):
-        h = self.memo()
+        chain = self.memo()
         width = hash_width(hash_id)
         rng = random.Random(17)
         secrets = ServerSecrets(x=random_bits(rng, width), y=random_bits(rng, width))
@@ -423,44 +424,48 @@ class TestRunMemo:
         rng.shuffle(cases)
         for card, t, pw in cases:
             ref = oracle.login_values(pw, as_int(card.n_i), as_int(secrets.y), t, hash_id, width)
-            req = make_login_request(card, pw, t, h=h)
+            req = make_login_request(card, pw, t, chain=chain)
             assert (as_int(req.cid), req.n_i, as_int(req.c_i), req.t) == (ref["cid"], card.n_i, ref["c_i"], t)
             # the request as sent, with its check value tampered, and with another card's n_i
             other = rng.choice([c for c in cards if c is not card])
             for sent in (req, replace(req, c_i=req.c_i ^ as_bits(1, width)), replace(req, n_i=other.n_i)):
-                decision = authenticate(secrets, sent, t_star=t, hash_id=hash_id, h=h)
+                decision = authenticate(secrets, sent, t_star=t, hash_id=hash_id, chain=chain)
                 assert (decision.reason, as_int(decision.recovered_hpw)) == oracle_decision(secrets, sent, hash_id)
-        assert h.cache_info().hits > 0
-        assert h.cache_info().currsize == MEMO_SIZE
+        assert chain.cache_info().hits > 0
+        assert chain.cache_info().currsize == MEMO_SIZE
 
     def test_each_hash_gets_its_own_digest_of_one_int(self):
-        h = self.memo()
+        chain = self.memo()
         # sha3_256 has sha256's width, so only the constructor in the key tells their digests apart
         for hash_id in ("sha256", "sha3_256", "sha512"):
             new, n = hasher(hash_id)
-            assert h(GOLDEN_T, n, new) == _h(GOLDEN_T, n, new) == oracle.sha_int(GOLDEN_T, hash_id, n * 8)
+            ref = oracle.login_values(b"", 0, 0, GOLDEN_T, hash_id, n * 8)  # n_i xor y is 0
+            assert chain(0, GOLDEN_T, n, new) == _chain(0, GOLDEN_T, n, new) == (ref["cid"] ^ ref["hpw"], ref["c_i"])
 
-    def test_what_h_hashes_depends_on_card_and_t_alone(self, card, server_secrets, now):
-        # so a memo keyed on what h hashes never holds a password or its hash
+    def test_what_chain_hashes_depends_on_card_and_t_alone(self, card, server_secrets, now):
+        # so a memo keyed on chain's arguments never holds a password or its hash
         def recording(seen):
-            def h(v, n, new):
-                seen.append(v)
-                return _h(v, n, new)
-            return h
+            def chain(n_y, t, n, new):
+                seen.append((n_y, t))
+                return _chain(n_y, t, n, new)
+            return chain
 
         runs = []
         for pw in (b"", GOLDEN_PW, b"x" * 64):
             seen = []
-            req = make_login_request(card, pw, now, h=recording(seen))
-            authenticate(server_secrets, req, t_star=now, h=recording(seen))
-            assert as_int(hash_bytes(pw)) not in seen
+            req = make_login_request(card, pw, now, chain=recording(seen))
+            decision = authenticate(server_secrets, req, t_star=now, chain=recording(seen))
+            assert decision.accepted
+            hpw = as_int(hash_bytes(pw))
+            assert all(hpw not in args for args in seen)
             runs.append(seen)
         assert runs[0] == runs[1] == runs[2]
-        assert len(runs[0]) == 6
-        assert runs[0][:3] == runs[0][3:]  # the server hashes what the card hashed
+        # the server rebuilds the card's n_i xor y from the request and its own y
+        assert runs[0] == [(card.n_y, now)] * 2
 
     def test_a_server_hashes_without_a_memo(self):
         # a memo shared by a server's clients would time one card's logins for another client
-        assert make_login_request.__kwdefaults__["h"] is _h
-        assert authenticate.__kwdefaults__["h"] is _h
+        assert make_login_request.__kwdefaults__["chain"] is _chain
+        assert authenticate.__kwdefaults__["chain"] is _chain
+        assert not hasattr(_chain, "cache_info")
         assert not hasattr(_h, "cache_info")

@@ -3,6 +3,7 @@ import json
 import random
 import select
 import socket
+import subprocess
 import sys
 import threading
 import time
@@ -18,6 +19,7 @@ from authlab.bits import Bits, hash_bytes
 from authlab.clock import fixed_clock
 from authlab.protocol import AuthDecision, LoginRequest, Reason, authenticate, make_login_request
 from authlab.storage import ServerConfig
+from authlab import wire
 from authlab.wire import (
     MSG_AUTH_RESPONSE,
     MSG_LOGIN_REQUEST,
@@ -401,6 +403,29 @@ def audited_reasons(audit: io.StringIO) -> list[str]:
     return [json.loads(line)["reason"] for line in audit.getvalue().splitlines()]
 
 
+# Builds an idle server under a descriptor limit 3 above what is open, then prints
+# the CPU seconds it used per wall second over 1 s, and the seconds close() took.
+IDLE_SERVER_OUT_OF_DESCRIPTORS = """
+import io, os, resource, sys, time
+sys.path.insert(0, {src!r})
+from authlab.bits import Bits
+from authlab.protocol import ServerSecrets
+from authlab.storage import ServerConfig
+from authlab.wire import AuthServer
+
+config = ServerConfig(ServerSecrets(x=Bits(bytes(32)), y=Bits(bytes(32))), ("127.0.0.1", 0))
+open_fds = len(os.listdir("/proc/self/fd")) - 1  # less the one listdir held
+resource.setrlimit(resource.RLIMIT_NOFILE, (open_fds + 3, resource.getrlimit(resource.RLIMIT_NOFILE)[1]))
+server = AuthServer(config, audit_stream=io.StringIO())
+wall, cpu = time.monotonic(), time.process_time()
+time.sleep(1)
+cpu_per_sec = (time.process_time() - cpu) / (time.monotonic() - wall)
+start = time.monotonic()
+server.close()
+print(cpu_per_sec, time.monotonic() - start)
+"""
+
+
 class TestBoundedServer:
     def test_trickling_peer_cut_at_deadline(self, quick_server, card, now, audit):
         frame = encode_login_request(make_login_request(card, GOLDEN_PW, now))
@@ -469,6 +494,17 @@ class TestBoundedServer:
         # the held peers are cut at their deadline; the waiting ones are reset unserved
         assert audited_reasons(audit) == ["MALFORMED_FRAME"] * srv.handler_cap
         assert not [t for t in threading.enumerate() if t.name.startswith("authlab-")]
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="counts descriptors in /proc/self/fd")
+    def test_idle_server_out_of_descriptors_does_not_spin(self):
+        # Linux reserves a descriptor for each handler blocked in accept(); with 3 to spare,
+        # the other handlers get EMFILE at once, and before a pause they retried in a busy loop
+        script = IDLE_SERVER_OUT_OF_DESCRIPTORS.format(src=str(Path(wire.__file__).parent.parent))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        cpu_per_sec, close_secs = map(float, proc.stdout.split())
+        assert cpu_per_sec < 0.2
+        assert close_secs < 0.5
 
     def test_close_of_an_idle_server_returns_at_once(self, server_secrets, now):
         srv = AuthServer(ServerConfig(server_secrets, ("127.0.0.1", 0)), fixed_clock(now), audit_stream=io.StringIO())
