@@ -54,7 +54,7 @@ MSG_LOGIN_REQUEST = 0x01
 MSG_AUTH_RESPONSE = 0x02
 WIRE_VERSION = 0x01
 MAX_PAYLOAD = 4096
-ACCEPT_RETRY_SECS = 0.05  # a server handler's pause after a failed accept()
+_ACCEPT_RETRY_SECS = 0.05  # a server handler's pause after a failed accept()
 
 _HEADER = struct.Struct(">BBI")
 
@@ -240,7 +240,7 @@ class AuthServer:
             except OSError:
                 # Linux reserves a descriptor for each handler blocked in accept(), so when they
                 # run out the others fail at once: pause, not spin; the peer stays in the backlog
-                if self._closing.wait(ACCEPT_RETRY_SECS):
+                if self._closing.wait(_ACCEPT_RETRY_SECS):
                     return
                 continue
             peer = "%s:%s" % client_address[:2]
