@@ -77,6 +77,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _server_address(address: tuple[str, int], option: str) -> tuple[str, int]:
+    """address, unless its port is 0: a config's default, binding any free port, which no client can name."""
+    if address[1] == 0:
+        raise ValueError(f"cannot connect to port 0 of {address[0]}; pass {option} HOST:PORT with the server's port")
+    return address
+
+
 def cmd_register(args: argparse.Namespace, clock: Clock) -> int:
     config = load_server_config(args.config)
     pw = _password(args.password, "Password for new user: ")
@@ -121,7 +128,7 @@ def cmd_serve(args: argparse.Namespace, clock: Clock) -> int:
 def cmd_login(args: argparse.Namespace, clock: Clock) -> int:
     card = load_card(args.card)
     try:
-        address = parse_address(args.server)
+        address = _server_address(parse_address(args.server), "--server")
     except ValueError as exc:
         _diag(str(exc))
         return EXIT_BAD_INPUT
@@ -155,12 +162,9 @@ def cmd_attack(args: argparse.Namespace, clock: Clock) -> int:
     submit = None  # in-process, under the config's policy
     if args.remote is not None:
         try:
-            address = parse_address(args.remote) if args.remote else config.bind_address
+            address = _server_address(parse_address(args.remote) if args.remote else config.bind_address, "--remote")
         except ValueError as exc:
             _diag(str(exc))
-            return EXIT_BAD_INPUT
-        if address[1] == 0:  # a config's default: bind to any free port, which no client can name
-            _diag(f"cannot connect to port 0 of {address[0]}; pass --remote HOST:PORT with the server's port")
             return EXIT_BAD_INPUT
 
         def submit(c, pw, t):

@@ -23,11 +23,17 @@ and the client each read one frame off the socket before a deadline (the
 header, checked as soon as it is in, then the payload it declares), decode
 it with those same functions, and ignore any bytes sent after it. The
 server answers exactly one request per connection and then closes.
+
+One server handler at a time accepts. It serves, without blocking, each
+peer whose frame or close is already in, and keeps accepting; it hands the
+role to an idle handler only when a peer makes it wait and another peer
+arrives first, then waits for its own peer with plain blocking reads.
 """
 
 from __future__ import annotations
 
 import logging
+import select
 import socket
 import struct
 import sys
@@ -55,6 +61,7 @@ MSG_AUTH_RESPONSE = 0x02
 WIRE_VERSION = 0x01
 MAX_PAYLOAD = 4096
 _ACCEPT_RETRY_SECS = 0.05  # a server handler's pause after a failed accept()
+_MSG_MORE = getattr(socket, "MSG_MORE", 0)  # Linux: hold the bytes back for more, or for the FIN
 
 _HEADER = struct.Struct(">BBI")
 
@@ -154,14 +161,27 @@ def _family(host: str) -> socket.AddressFamily:
     return socket.AF_INET6 if ":" in host else socket.AF_INET
 
 
-def _recv_frame(conn: socket.socket, deadline: float) -> bytes:
-    """One whole frame, read before a monotonic deadline. Each recv asks for
-    a maximal frame; the header is checked as soon as it is in, and bytes
-    past the frame it declares are dropped. A peer that closes before
-    sending a byte raises ConnectionError, one that cuts a frame short
-    MalformedFrameError."""
-    buf = b""
-    size = None
+def _frame_size(buf: bytes) -> int | None:
+    """The size of the frame buf begins, once its header is in and checked; None before."""
+    return _HEADER.size + _parse_header(buf[: _HEADER.size])[1] if len(buf) >= _HEADER.size else None
+
+
+def _settled(buf: bytes) -> bool:
+    """Whether buf holds a whole frame, or a header that fails the check."""
+    try:
+        size = _frame_size(buf)
+    except MalformedFrameError:
+        return True
+    return size is not None and len(buf) >= size
+
+
+def _recv_frame(conn: socket.socket, deadline: float, buf: bytes = b"") -> bytes:
+    """One whole frame, read before a monotonic deadline after the bytes
+    already in buf. Each recv asks for a maximal frame; the header is checked
+    as soon as it is in, and bytes past the frame it declares are dropped. A
+    peer that closes before sending a byte raises ConnectionError, one that
+    cuts a frame short MalformedFrameError."""
+    size = _frame_size(buf)
     while size is None or len(buf) < size:
         left = deadline - time.monotonic()
         if left <= 0:
@@ -173,8 +193,8 @@ def _recv_frame(conn: socket.socket, deadline: float) -> bytes:
                 raise ConnectionError("connection closed before any byte")
             raise MalformedFrameError(f"connection closed with {len(buf)} bytes in")
         buf += chunk
-        if size is None and len(buf) >= _HEADER.size:
-            size = _HEADER.size + _parse_header(buf[: _HEADER.size])[1]
+        if size is None:
+            size = _frame_size(buf)
     return buf[:size]
 
 
@@ -182,13 +202,17 @@ class AuthServer:
     """One-request-per-connection authentication server, running once built.
 
     Building one binds config.bind_address (a failure raises OSError at once)
-    and starts a fixed pool of handler_cap threads that each block in accept()
-    on the one listening socket, so the kernel hands every connection straight
-    to an idle handler and further peers wait in the listen backlog. A handler
-    gives a connection at most io_timeout seconds in total to deliver its
-    frame. Authentication is pure, so the only shared state is the audit
-    stream, guarded by a lock so each JSON line is written atomically. Close
-    the server, or use it as a context manager, for an orderly shutdown.
+    and starts a fixed pool of handler_cap threads, so at most handler_cap
+    connections are in service and further peers wait in the listen backlog.
+    A lock makes one idle handler at a time the acceptor. It reads what each
+    peer it accepts has already sent without blocking, serves the peer if
+    that is a whole frame or a close, and accepts the next. When a peer makes
+    it wait, it polls that peer and the listening socket together, and hands
+    the role to an idle handler only if another peer arrives first. A handler
+    gives a connection at most io_timeout seconds from accept() in total to
+    deliver its frame. Authentication is pure, so the only shared state is the
+    audit stream, guarded by a lock so each JSON line is written atomically.
+    Close the server, or use it as a context manager, for an orderly shutdown.
     """
 
     io_timeout = 5.0
@@ -201,6 +225,7 @@ class AuthServer:
         self.clock = clock
         self._audit_stream = audit_stream if audit_stream is not None else sys.stderr
         self._audit_lock = threading.Lock()
+        self._acceptor = threading.Lock()  # held by the one handler that accepts
         self._closing = threading.Event()
         # a burst of a few dozen connects meeting a busy pool must wait in the
         # backlog, not overflow it: with a backlog of 5, peers were reset
@@ -219,7 +244,7 @@ class AuthServer:
         exits. Peers still in the backlog are reset."""
         self._closing.set()
         try:
-            # on Linux this fails every accept() blocked on the socket
+            # on Linux this fails the acceptor's accept(), or ends its poll with POLLHUP
             self._socket.shutdown(socket.SHUT_RDWR)
         except OSError:
             pass  # already closed
@@ -234,34 +259,87 @@ class AuthServer:
         self.close()
 
     def _accept_loop(self) -> None:
+        # this handler's poll set: the listening socket, plus a peer while the acceptor waits for it
+        poller = select.poll()
+        poller.register(self._socket, select.POLLIN)
+        while True:
+            with self._acceptor:  # idle handlers wait here for the role
+                held = self._accept_until_a_peer_waits(poller)
+            if held is None:
+                return
+            self._serve(*held)  # the role handed on, the rest of the frame comes by blocking reads
+
+    def _accept_until_a_peer_waits(self, poller) -> tuple[socket.socket, str, float, bytes] | None:
+        """Accept peers and serve each whose frame or close is in without a wait.
+        Return the first that keeps this handler waiting until another peer
+        arrives, with its deadline and the bytes read so far; None once closing."""
         while True:
             try:
                 conn, client_address = self._socket.accept()
             except OSError:
-                # Linux reserves a descriptor for each handler blocked in accept(), so when they
-                # run out the others fail at once: pause, not spin; the peer stays in the backlog
+                # accept() takes a descriptor before it waits, so when they run out it fails
+                # at once: pause, not spin; the peer stays in the backlog
                 if self._closing.wait(_ACCEPT_RETRY_SECS):
-                    return
+                    return None
                 continue
             peer = "%s:%s" % client_address[:2]
-            try:
-                self._handle(conn, peer)
-            except Exception:
-                # never let one bad connection take a handler down
-                logger.exception("unhandled error serving %s", peer)
-            finally:
-                # discard, without waiting, what the peer already sent (up to one frame):
-                # closing with unread input makes the kernel reset the connection, not end it
-                try:
-                    conn.setblocking(False)
-                    conn.recv(_HEADER.size + MAX_PAYLOAD)
-                except OSError:
-                    pass
-                conn.close()
+            deadline = time.monotonic() + self.io_timeout
+            buf, another_peer = self._recv_ready(conn, deadline, poller)
+            if another_peer:
+                return conn, peer, deadline, buf
+            self._serve(conn, peer, deadline, buf)
 
-    def _handle(self, conn: socket.socket, peer: str) -> None:
+    def _recv_ready(self, conn: socket.socket, deadline: float, poller) -> tuple[bytes, bool]:
+        """Read what conn has sent without blocking until the bytes hold a whole
+        frame or a bad header, or conn closes or fails, or the deadline passes,
+        and return them with False. In between, poll conn and the listening
+        socket together; once another peer arrives first, return with True."""
+        fd = conn.fileno()
+        poller.register(fd, select.POLLIN)
+        buf = b""
         try:
-            req = decode_login_request(_recv_frame(conn, time.monotonic() + self.io_timeout))
+            while True:
+                try:
+                    chunk = conn.recv(_HEADER.size + MAX_PAYLOAD, socket.MSG_DONTWAIT)
+                except BlockingIOError:
+                    pass
+                else:
+                    if not chunk:
+                        return buf, False
+                    buf += chunk
+                    if _settled(buf):
+                        return buf, False
+                left = deadline - time.monotonic()
+                if left <= 0:
+                    return buf, False
+                ready = dict(poller.poll(left * 1000))
+                if ready and fd not in ready:
+                    return buf, True
+        except OSError:
+            return buf, False  # _recv_frame meets the failure, or the close after it, again
+        finally:
+            poller.unregister(fd)
+
+    def _serve(self, conn: socket.socket, peer: str, deadline: float, buf: bytes) -> None:
+        try:
+            self._handle(conn, peer, deadline, buf)
+        except Exception:
+            # never let one bad connection take a handler down
+            logger.exception("unhandled error serving %s", peer)
+        finally:
+            # discard, without waiting, what the peer already sent (up to one frame):
+            # closing with unread input makes the kernel reset the connection, not end it.
+            # Not MSG_DONTWAIT alone: once _recv_frame set a timeout, recv polls for it first
+            try:
+                conn.setblocking(False)
+                conn.recv(_HEADER.size + MAX_PAYLOAD)
+            except OSError:
+                pass
+            conn.close()
+
+    def _handle(self, conn: socket.socket, peer: str, deadline: float, buf: bytes) -> None:
+        try:
+            req = decode_login_request(_recv_frame(conn, deadline, buf))
         except BadTypeError:
             self.audit(self.clock(), peer, None, "BAD_TYPE")
             return
@@ -273,7 +351,9 @@ class AuthServer:
         # audit before replying, so a client that has its verdict can already read the line
         self.audit(ts, peer, req.cid.hex(), decision.reason.value)
         try:
-            conn.sendall(encode_auth_response(decision, self.config.secrets.y.width))
+            # close() sends the reply with the FIN, so the peer wakes once for both, not
+            # twice, and does not preempt a busy acceptor between its send and its close
+            conn.sendall(encode_auth_response(decision, self.config.secrets.y.width), _MSG_MORE)
         except OSError:
             pass  # peer went away; the audit line already records the decision
 

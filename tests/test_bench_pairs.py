@@ -81,7 +81,20 @@ def bench_pairs(tool, monkeypatch, tmp_path):
     return run
 
 
-def test_summarises_every_pair(bench_pairs, capsys):
+def test_summarises_every_pair(bench_pairs, tool, monkeypatch, capsys):
+    runs, loads = [], []
+    bench = tool.bench
+
+    def counted_bench(*args):
+        runs.append(args)
+        return bench(*args)
+
+    def loadavg():  # its 1-minute reading is the number of runs made so far, so it shows when it was taken
+        loads.append(len(runs))
+        return len(runs), 0.5, 0.25
+
+    monkeypatch.setattr(tool, "bench", counted_bench)
+    monkeypatch.setattr(tool.os, "getloadavg", loadavg)
     code, doc = bench_pairs(fail_seed=None)
     assert code == 0
     ops = doc["workloads"]["w"]["metrics"]["ops_per_s"]
@@ -104,6 +117,9 @@ def test_summarises_every_pair(bench_pairs, capsys):
     assert doc["env"]["python"] == platform.python_version()
     assert doc["env"]["implementation"] == platform.python_implementation()
     assert doc["env"]["openssl"] == ssl.OPENSSL_VERSION
+    # the host's load averages once before the first run and once after the last pair, before the traced runs
+    assert loads == [0, 20] and len(runs) == 22
+    assert doc["env"]["loadavg"] == {"start": [0, 0.5, 0.25], "end": [20, 0.5, 0.25]}
     # and the sha256 constructor each side's own bits.hasher picks
     assert doc["env"]["sha256_constructor"] == {
         "parent": "authlab.bits.parent_sha256", "change": "authlab.bits.change_sha256"

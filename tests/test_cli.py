@@ -156,6 +156,13 @@ class TestLogin:
         assert code == 5
         assert "login failed" in capsys.readouterr().err
 
+    def test_port_zero_exits_2(self, card_path, capsys):
+        code = main(["login", "--card", str(card_path), "--server", "127.0.0.1:0", "--password", PW])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err == "authlab: cannot connect to port 0 of 127.0.0.1; pass --server HOST:PORT with the server's port\n"
+
     def test_bad_card_exits_2(self, tmp_path, live_server, capsys):
         bad = tmp_path / "bad.card"
         bad.write_text('{"format_version": 99}')

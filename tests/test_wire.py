@@ -403,7 +403,8 @@ def audited_reasons(audit: io.StringIO) -> list[str]:
     return [json.loads(line)["reason"] for line in audit.getvalue().splitlines()]
 
 
-# Builds an idle server under a descriptor limit 3 above what is open, then prints
+# Builds an idle server under a descriptor limit 1 above what is open, which its listening
+# socket takes, so the acceptor's every accept() fails at once with EMFILE. Then prints
 # the CPU seconds it used per wall second over 1 s, and the seconds close() took.
 IDLE_SERVER_OUT_OF_DESCRIPTORS = """
 import io, os, resource, sys, time
@@ -415,7 +416,7 @@ from authlab.wire import AuthServer
 
 config = ServerConfig(ServerSecrets(x=Bits(bytes(32)), y=Bits(bytes(32))), ("127.0.0.1", 0))
 open_fds = len(os.listdir("/proc/self/fd")) - 1  # less the one listdir held
-resource.setrlimit(resource.RLIMIT_NOFILE, (open_fds + 3, resource.getrlimit(resource.RLIMIT_NOFILE)[1]))
+resource.setrlimit(resource.RLIMIT_NOFILE, (open_fds + 1, resource.getrlimit(resource.RLIMIT_NOFILE)[1]))
 server = AuthServer(config, audit_stream=io.StringIO())
 wall, cpu = time.monotonic(), time.process_time()
 time.sleep(1)
@@ -497,8 +498,8 @@ class TestBoundedServer:
 
     @pytest.mark.skipif(sys.platform != "linux", reason="counts descriptors in /proc/self/fd")
     def test_idle_server_out_of_descriptors_does_not_spin(self):
-        # Linux reserves a descriptor for each handler blocked in accept(); with 3 to spare,
-        # the other handlers get EMFILE at once, and before a pause they retried in a busy loop
+        # accept() takes a descriptor before it waits; with none to spare it gets EMFILE at
+        # once, and before a pause the handlers retried in a busy loop
         script = IDLE_SERVER_OUT_OF_DESCRIPTORS.format(src=str(Path(wire.__file__).parent.parent))
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
@@ -532,6 +533,39 @@ class TestBoundedServer:
         assert sorted(cids) == sorted(make_login_request(card, pw, now).cid.hex() for pw, _ in results)
         handlers = [t for t in threading.enumerate() if t.name.startswith("authlab-handler")]
         assert len(handlers) == live_server.handler_cap
+
+
+class ThreadRecordingStream(io.StringIO):
+    """An audit stream that also records which thread writes each line."""
+
+    def __init__(self):
+        super().__init__()
+        self.writers: list[str] = []
+
+    def write(self, text: str) -> int:
+        self.writers.append(threading.current_thread().name)
+        return super().write(text)
+
+
+class TestAcceptRole:
+    def test_sequential_logins_served_by_one_handler(self, server_secrets, card, now):
+        audit = ThreadRecordingStream()
+        with AuthServer(ServerConfig(server_secrets, ("127.0.0.1", 0)), fixed_clock(now), audit_stream=audit) as srv:
+            for _ in range(20):
+                assert client_login(srv.address, card, GOLDEN_PW, fixed_clock(now)).accepted
+        assert len(audit.writers) == 20
+        # no peer made the acceptor wait while another arrived, so it never handed the role on
+        assert len(set(audit.writers)) == 1
+
+    def test_login_answered_while_another_peer_is_silent(self, live_server, card, now):
+        with socket.create_connection(live_server.address, timeout=5):
+            time.sleep(0.05)  # the acceptor has taken the silent peer and waits for its frame
+            start = time.monotonic()
+            decision = client_login(live_server.address, card, GOLDEN_PW, fixed_clock(now))
+            took = time.monotonic() - start
+        assert decision.reason is Reason.OK
+        # the new peer made the acceptor hand the role on, so an idle handler served it at once
+        assert took < live_server.io_timeout / 3
 
 
 class TestClient:

@@ -9,7 +9,9 @@ workload and seeds 1 .. 10, the parent first on odd seeds. Then one
 length N and the end-to-end metrics with their bounds come from the parent's
 BENCHMARK.json. `env` names the build: the interpreter, the OpenSSL it
 links, and for each side the sha256 constructor that side's `bits.hasher`
-resolves (null where its `authlab.bits` cannot be imported). For each metric
+resolves (null where its `authlab.bits` cannot be imported). It also holds
+the host's 1, 5 and 15 minute load averages at the start and at the end of
+the pairs, since other load on the host moves every timing. For each metric
 and side the file holds every run, the median and the quartiles; for each
 metric, the change's median relative to the parent's, the parent's
 IQR/median, the number of pairs in which the change reads better (ties
@@ -147,6 +149,7 @@ def main(argv: list[str] | None = None) -> int:
             "change_sha": shas["change"],
             "host": f"{platform.system()} {platform.machine()}",
             "sha256_constructor": {side: sha256_constructor(checkouts[side]) for side in SIDES},
+            "loadavg": {"start": os.getloadavg()},
         }
 
         runs = {w: {side: [] for side in SIDES} for w in workloads}
@@ -159,6 +162,7 @@ def main(argv: list[str] | None = None) -> int:
                         code, result = runs[w][side][-1]
                         ops = result["metrics"].get("ops_per_s", {}).get("value")
                         print(f"{w} seed {seed} {side}: exit {code}, ops_per_s {ops}", file=sys.stderr, flush=True)
+            env["loadavg"]["end"] = os.getloadavg()
             for w in workloads:
                 for side in SIDES:
                     code, result = bench(checkouts[side], w, TRACE_SEED, seconds, 1)
