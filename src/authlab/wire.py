@@ -198,6 +198,39 @@ def _recv_frame(conn: socket.socket, deadline: float, buf: bytes = b"") -> bytes
     return buf[:size]
 
 
+def _recv_ready(conn: socket.socket, deadline: float, poller) -> tuple[bytes, bool]:
+    """Read what conn has sent without blocking until the bytes hold a whole
+    frame or a bad header, or conn closes or fails, or the deadline passes,
+    and return them with False. In between, wait on poller, which holds the
+    listening socket, together with conn; once another peer arrives first,
+    return with True."""
+    fd = conn.fileno()
+    poller.register(fd, select.POLLIN)
+    buf = b""
+    try:
+        while True:
+            try:
+                chunk = conn.recv(_HEADER.size + MAX_PAYLOAD, socket.MSG_DONTWAIT)
+            except BlockingIOError:
+                pass
+            else:
+                if not chunk:
+                    return buf, False
+                buf += chunk
+                if _settled(buf):
+                    return buf, False
+            left = deadline - time.monotonic()
+            if left <= 0:
+                return buf, False
+            ready = dict(poller.poll(left * 1000))
+            if ready and fd not in ready:
+                return buf, True
+    except OSError:
+        return buf, False  # _recv_frame meets the failure, or the close after it, again
+    finally:
+        poller.unregister(fd)
+
+
 class AuthServer:
     """One-request-per-connection authentication server, running once built.
 
@@ -284,41 +317,10 @@ class AuthServer:
                 continue
             peer = "%s:%s" % client_address[:2]
             deadline = time.monotonic() + self.io_timeout
-            buf, another_peer = self._recv_ready(conn, deadline, poller)
+            buf, another_peer = _recv_ready(conn, deadline, poller)
             if another_peer:
                 return conn, peer, deadline, buf
             self._serve(conn, peer, deadline, buf)
-
-    def _recv_ready(self, conn: socket.socket, deadline: float, poller) -> tuple[bytes, bool]:
-        """Read what conn has sent without blocking until the bytes hold a whole
-        frame or a bad header, or conn closes or fails, or the deadline passes,
-        and return them with False. In between, poll conn and the listening
-        socket together; once another peer arrives first, return with True."""
-        fd = conn.fileno()
-        poller.register(fd, select.POLLIN)
-        buf = b""
-        try:
-            while True:
-                try:
-                    chunk = conn.recv(_HEADER.size + MAX_PAYLOAD, socket.MSG_DONTWAIT)
-                except BlockingIOError:
-                    pass
-                else:
-                    if not chunk:
-                        return buf, False
-                    buf += chunk
-                    if _settled(buf):
-                        return buf, False
-                left = deadline - time.monotonic()
-                if left <= 0:
-                    return buf, False
-                ready = dict(poller.poll(left * 1000))
-                if ready and fd not in ready:
-                    return buf, True
-        except OSError:
-            return buf, False  # _recv_frame meets the failure, or the close after it, again
-        finally:
-            poller.unregister(fd)
 
     def _serve(self, conn: socket.socket, peer: str, deadline: float, buf: bytes) -> None:
         try:
