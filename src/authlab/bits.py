@@ -1,4 +1,6 @@
-"""Fixed-width bit strings and the hash/XOR primitives the protocol is built on."""
+"""The hash lookup, width limits and digit parser under the protocol, which takes plain bytes.
+
+Bits, hash_bytes, hash_bits and embed_timestamp stay only while the benchmark and the tests use them."""
 
 from __future__ import annotations
 
@@ -38,8 +40,7 @@ class Bits(bytes):
     match and refuses plain bytes.
     """
 
-    # The check runs in __init__, after bytes' own C-level __new__ has built the
-    # value: a Python __new__ calling super().__new__ costs about twice as much.
+    # checked in __init__, after bytes' C-level __new__: a Python __new__ would cost about twice as much
     def __init__(self, value: bytes) -> None:
         if not self:
             raise ValueError("Bits value must be non-empty")
@@ -111,12 +112,11 @@ def hash_width(hash_id: str) -> int:
 
 
 def hash_bytes(data: bytes, hash_id: str = DEFAULT_HASH_ID) -> Bits:
-    """One-way hash of a byte string, a Bits value included, as a digest-width value."""
+    """One-way hash of a byte string as a Bits value; kept for the benchmark and the tests."""
     return Bits(hasher(hash_id)[0](data).digest())
 
 
-# The one hash function; this name stays only because authbench/run.py and the tests import it.
-hash_bits = hash_bytes
+hash_bits = hash_bytes  # the same function under the name authbench/run.py and the tests import
 
 
 def embed_timestamp(t: int, width: int) -> Bits:

@@ -9,8 +9,8 @@ match inside a freshness window. Password change rewrites the registration
 value in place.
 
 Everything here is deterministic and side-effect free; this module has no
-opinion about transport, persistence, or clocks. Login and authentication
-compute on ints and emit big-endian k-bit bytes.
+opinion about transport, persistence, or clocks. Every phase computes on
+ints and takes and emits k-bit values as plain big-endian bytes.
 
 A property worth stating up front because the whole attack harness rests on
 it: the server's check cancels the typed password out algebraically, so
@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Callable
 
-from authlab.bits import DEFAULT_HASH_ID, MAX_TIMESTAMP, MIN_WIDTH, Bits, hash_bytes, hash_width, hasher
+from authlab.bits import DEFAULT_HASH_ID, MAX_TIMESTAMP, MIN_WIDTH, hash_width, hasher
 
 Password = bytes
 
@@ -57,16 +57,16 @@ class ServerSecrets:
     on the wire. y is identical across every card a server instance issues.
     """
 
-    x: Bits
-    y: Bits
+    x: bytes
+    y: bytes
     # y as an int for authenticate, set once here; init, repr, == and hash ignore it
     y_int: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.x.width != self.y.width:
-            raise ValueError(f"secret widths differ: x={self.x.width}, y={self.y.width}")
-        if self.y.width < MIN_WIDTH:  # the timestamp is XORed in as a 64-bit field
-            raise ValueError(f"width must be at least {MIN_WIDTH} bits, got {self.y.width}")
+        if len(self.x) != len(self.y):
+            raise ValueError(f"secret widths differ: x={len(self.x) * 8}, y={len(self.y) * 8}")
+        if len(self.y) * 8 < MIN_WIDTH:  # the timestamp is XORed in as a 64-bit field
+            raise ValueError(f"width must be at least {MIN_WIDTH} bits, got {len(self.y) * 8}")
         object.__setattr__(self, "y_int", int.from_bytes(self.y, "big"))
 
 
@@ -79,18 +79,16 @@ class SmartcardState:
     password change returns a new card.
     """
 
-    n_i: Bits
-    y: Bits
+    n_i: bytes
+    y: bytes
     hash_id: str
     k: int
     # n_i xor y as an int for make_login_request, set once here; init, repr, == and hash ignore it
     n_y: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.n_i.width != self.k or self.y.width != self.k:
-            raise ValueError(
-                f"card fields must be k={self.k} bits: n_i={self.n_i.width}, y={self.y.width}"
-            )
+        if len(self.n_i) * 8 != self.k or len(self.y) * 8 != self.k:
+            raise ValueError(f"card fields must be k={self.k} bits: n_i={len(self.n_i) * 8}, y={len(self.y) * 8}")
         if hash_width(self.hash_id) != self.k:
             raise ValueError(f"hash {self.hash_id!r} does not produce {self.k}-bit output")
         object.__setattr__(self, "n_y", int.from_bytes(self.n_i, "big") ^ int.from_bytes(self.y, "big"))
@@ -100,15 +98,15 @@ class SmartcardState:
 class LoginRequest:
     """The login tuple (cid, n_i, c_i, t) sent over the insecure channel."""
 
-    cid: Bits
-    n_i: Bits
-    c_i: Bits
+    cid: bytes
+    n_i: bytes
+    c_i: bytes
     t: int
 
     def __post_init__(self) -> None:
-        if not len(self.cid) == len(self.n_i) == len(self.c_i):
+        if not 0 < len(self.cid) == len(self.n_i) == len(self.c_i):
             widths = {len(f) * 8 for f in (self.cid, self.n_i, self.c_i)}
-            raise ValueError(f"request fields must share one width, got {sorted(widths)}")
+            raise ValueError(f"request fields must be non-empty and share one width, got {sorted(widths)}")
         if not 0 <= self.t <= MAX_TIMESTAMP:
             raise ValueError(f"timestamp out of 64-bit range: {self.t}")
 
@@ -123,20 +121,21 @@ class AuthDecision:
     """
 
     reason: Reason
-    recovered_hpw: Bits | None = None
+    recovered_hpw: bytes | None = None
 
     @property
     def accepted(self) -> bool:
         return self.reason.accepted
 
 
-def register_user(pw: Password, secrets: ServerSecrets, hash_id: str = DEFAULT_HASH_ID) -> Bits:
+def register_user(pw: Password, secrets: ServerSecrets, hash_id: str = DEFAULT_HASH_ID) -> bytes:
     """Registration: compute the card's registration value h(pw) xor h(x).
 
     Identical passwords under the same master secret yield identical values;
     that is inherent to the construction, not an implementation choice.
     """
-    return hash_bytes(pw, hash_id) ^ hash_bytes(secrets.x, hash_id)
+    new, n = hasher(hash_id)
+    return (_digest(pw, new) ^ _digest(secrets.x, new)).to_bytes(n, "big")
 
 
 def issue_card(pw: Password, secrets: ServerSecrets, hash_id: str = DEFAULT_HASH_ID) -> SmartcardState:
@@ -146,7 +145,12 @@ def issue_card(pw: Password, secrets: ServerSecrets, hash_id: str = DEFAULT_HASH
     persisting the result to a card file is the CLI's job.
     """
     n_i = register_user(pw, secrets, hash_id)
-    return SmartcardState(n_i=n_i, y=secrets.y, hash_id=hash_id, k=n_i.width)
+    return SmartcardState(n_i=n_i, y=secrets.y, hash_id=hash_id, k=len(n_i) * 8)
+
+
+def _digest(data: bytes, new: Callable[[bytes], Any]) -> int:
+    """h(data) as an int; new is the hash constructor."""
+    return int.from_bytes(new(data).digest(), "big")
 
 
 def _h(v: int, n: int, new: Callable[[bytes], Any]) -> int:
@@ -180,8 +184,8 @@ def make_login_request(card: SmartcardState, typed_pw: Password, t: int, *, chai
         raise ValueError(f"timestamp out of 64-bit range: {t}")
     new, n = hasher(card.hash_id)  # the card checked that its hash gives k bits
     a, c_i = chain(card.n_y, t, n, new)
-    cid = int.from_bytes(new(typed_pw).digest(), "big") ^ a
-    return LoginRequest(Bits(cid.to_bytes(n, "big")), card.n_i, Bits(c_i.to_bytes(n, "big")), t)
+    cid = _digest(typed_pw, new) ^ a
+    return LoginRequest(cid.to_bytes(n, "big"), card.n_i, c_i.to_bytes(n, "big"), t)
 
 
 def authenticate(
@@ -223,7 +227,7 @@ def authenticate(
     a, c = chain(int.from_bytes(req.n_i, "big") ^ secrets.y_int, req.t, n, new)
     ok = hmac.compare_digest(c.to_bytes(n, "big"), req.c_i)
     recovered_hpw = int.from_bytes(req.cid, "big") ^ a
-    return AuthDecision(Reason.OK if ok else Reason.CHECK_FAILED, Bits(recovered_hpw.to_bytes(n, "big")))
+    return AuthDecision(Reason.OK if ok else Reason.CHECK_FAILED, recovered_hpw.to_bytes(n, "big"))
 
 
 def change_password(card: SmartcardState, typed_old_pw: Password, new_pw: Password) -> SmartcardState:
@@ -234,5 +238,6 @@ def change_password(card: SmartcardState, typed_old_pw: Password, new_pw: Passwo
     master secret — and logins still succeed afterwards, since the check
     never involves the password. Reproduced faithfully, not patched.
     """
-    n_new = card.n_i ^ hash_bytes(typed_old_pw, card.hash_id) ^ hash_bytes(new_pw, card.hash_id)
-    return SmartcardState(n_i=n_new, y=card.y, hash_id=card.hash_id, k=card.k)
+    new, n = hasher(card.hash_id)  # the card checked that its hash gives k bits
+    n_new = int.from_bytes(card.n_i, "big") ^ _digest(typed_old_pw, new) ^ _digest(new_pw, new)
+    return SmartcardState(n_i=n_new.to_bytes(n, "big"), y=card.y, hash_id=card.hash_id, k=card.k)

@@ -23,7 +23,7 @@ import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
-from authlab.bits import DEFAULT_HASH_ID, Bits, hash_width, parse_digits
+from authlab.bits import DEFAULT_HASH_ID, hash_width, parse_digits
 from authlab.protocol import (
     DEFAULT_SKEW_SECS,
     DEFAULT_WINDOW_SECS,
@@ -49,11 +49,11 @@ class ConfigError(StorageError):
     pass
 
 
-def _decode_hex_field(raw: object, name: str, err: type[StorageError]) -> Bits:
+def _decode_hex_field(raw: object, name: str, err: type[StorageError]) -> bytes:
     if not isinstance(raw, str):
         raise err(f"{name} must be a hex string")
     try:
-        return Bits.from_hex(raw)
+        return bytes.fromhex(raw)
     except ValueError as exc:
         raise err(f"{name} is not valid hex: {exc}") from exc
 
@@ -142,8 +142,8 @@ class ServerConfig:
         if type(self.skew_secs) is not int or self.skew_secs < 0:
             raise ValueError(f"skew_secs must be a non-negative integer, got {self.skew_secs!r}")
         width = hash_width(self.hash_id)  # raises ValueError on an unknown or non-string id
-        if width != self.secrets.y.width:
-            raise ValueError(f"hash {self.hash_id!r} produces {width} bits, secrets are {self.secrets.y.width}")
+        if width != len(self.secrets.y) * 8:
+            raise ValueError(f"hash {self.hash_id!r} produces {width} bits, secrets are {len(self.secrets.y) * 8}")
         if self.audit_path is not None and not isinstance(self.audit_path, str):
             raise ValueError("audit_path must be a string or null")
         _check_port(self.bind_address[1])

@@ -42,7 +42,7 @@ import time
 from json.encoder import encode_basestring_ascii
 from typing import IO
 
-from authlab.bits import MIN_WIDTH, Bits
+from authlab.bits import MIN_WIDTH
 from authlab.clock import Clock, system_clock
 from authlab.protocol import (
     AuthDecision,
@@ -134,12 +134,12 @@ def decode_login_request(data: bytes) -> LoginRequest:
     n = body_len // 3
     if n * 8 < MIN_WIDTH:
         raise MalformedFrameError(f"field width {n * 8} bits below 64-bit minimum")
-    cid, n_i, c_i, t = payload[:n], payload[n : 2 * n], payload[2 * n : 3 * n], payload[3 * n :]
-    return LoginRequest(Bits(cid), Bits(n_i), Bits(c_i), int.from_bytes(t, "big"))
+    cid, n_i, c_i = payload[:n], payload[n : 2 * n], payload[2 * n : 3 * n]
+    return LoginRequest(cid, n_i, c_i, int.from_bytes(payload[3 * n :], "big"))
 
 
 def encode_auth_response(decision: AuthDecision, width: int) -> bytes:
-    recovered = decision.recovered_hpw or bytes(width // 8)  # a Bits value is never empty
+    recovered = bytes(width // 8) if decision.recovered_hpw is None else decision.recovered_hpw
     return encode_frame(MSG_AUTH_RESPONSE, bytes([STATUS_BY_REASON[decision.reason]]) + recovered)
 
 
@@ -153,7 +153,7 @@ def decode_auth_response(data: bytes) -> AuthDecision:
     if payload[0] not in REASON_BY_STATUS:
         raise MalformedFrameError(f"unknown status byte {payload[0]:#04x}")
     recovered = payload[1:]
-    return AuthDecision(REASON_BY_STATUS[payload[0]], Bits(recovered) if recovered.strip(b"\0") else None)
+    return AuthDecision(REASON_BY_STATUS[payload[0]], recovered if recovered.strip(b"\0") else None)
 
 
 def _family(host: str) -> socket.AddressFamily:
@@ -164,15 +164,6 @@ def _family(host: str) -> socket.AddressFamily:
 def _frame_size(buf: bytes) -> int | None:
     """The size of the frame buf begins, once its header is in and checked; None before."""
     return _HEADER.size + _parse_header(buf[: _HEADER.size])[1] if len(buf) >= _HEADER.size else None
-
-
-def _settled(buf: bytes) -> bool:
-    """Whether buf holds a whole frame, or a header that fails the check."""
-    try:
-        size = _frame_size(buf)
-    except MalformedFrameError:
-        return True
-    return size is not None and len(buf) >= size
 
 
 def _recv_frame(conn: socket.socket, deadline: float, buf: bytes = b"") -> bytes:
@@ -198,12 +189,12 @@ def _recv_frame(conn: socket.socket, deadline: float, buf: bytes = b"") -> bytes
     return buf[:size]
 
 
-def _recv_ready(conn: socket.socket, deadline: float, poller) -> tuple[bytes, bool]:
+def _recv_ready(conn: socket.socket, deadline: float, poller) -> tuple[bytes | None, bool]:
     """Read what conn has sent without blocking until the bytes hold a whole
-    frame or a bad header, or conn closes or fails, or the deadline passes,
-    and return them with False. In between, wait on poller, which holds the
-    listening socket, together with conn; once another peer arrives first,
-    return with True."""
+    frame or a bad header, or conn fails, or the deadline passes, and return
+    them with False; if conn closes first, return None with False. In between,
+    wait on poller, which holds the listening socket, together with conn; once
+    another peer arrives first, return the bytes with True."""
     fd = conn.fileno()
     poller.register(fd, select.POLLIN)
     buf = b""
@@ -215,9 +206,10 @@ def _recv_ready(conn: socket.socket, deadline: float, poller) -> tuple[bytes, bo
                 pass
             else:
                 if not chunk:
-                    return buf, False
+                    return None, False
                 buf += chunk
-                if _settled(buf):
+                size = _frame_size(buf)
+                if size is not None and len(buf) >= size:
                     return buf, False
             left = deadline - time.monotonic()
             if left <= 0:
@@ -225,8 +217,8 @@ def _recv_ready(conn: socket.socket, deadline: float, poller) -> tuple[bytes, bo
             ready = dict(poller.poll(left * 1000))
             if ready and fd not in ready:
                 return buf, True
-    except OSError:
-        return buf, False  # _recv_frame meets the failure, or the close after it, again
+    except (MalformedFrameError, OSError):  # a bad header, or a failure, which _recv_frame meets again
+        return buf, False
     finally:
         poller.unregister(fd)
 
@@ -322,7 +314,7 @@ class AuthServer:
                 return conn, peer, deadline, buf
             self._serve(conn, peer, deadline, buf)
 
-    def _serve(self, conn: socket.socket, peer: str, deadline: float, buf: bytes) -> None:
+    def _serve(self, conn: socket.socket, peer: str, deadline: float, buf: bytes | None) -> None:
         try:
             self._handle(conn, peer, deadline, buf)
         except Exception:
@@ -339,7 +331,10 @@ class AuthServer:
                 pass
             conn.close()
 
-    def _handle(self, conn: socket.socket, peer: str, deadline: float, buf: bytes) -> None:
+    def _handle(self, conn: socket.socket, peer: str, deadline: float, buf: bytes | None) -> None:
+        if buf is None:  # the peer closed before its frame was whole, and _recv_ready read the close
+            self.audit(self.clock(), peer, None, "MALFORMED_FRAME")
+            return
         try:
             req = decode_login_request(_recv_frame(conn, deadline, buf))
         except BadTypeError:
@@ -355,7 +350,7 @@ class AuthServer:
         try:
             # close() sends the reply with the FIN, so the peer wakes once for both, not
             # twice, and does not preempt a busy acceptor between its send and its close
-            conn.sendall(encode_auth_response(decision, self.config.secrets.y.width), _MSG_MORE)
+            conn.sendall(encode_auth_response(decision, len(self.config.secrets.y) * 8), _MSG_MORE)
         except OSError:
             pass  # peer went away; the audit line already records the decision
 

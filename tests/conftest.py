@@ -3,7 +3,7 @@ import socket
 
 import pytest
 
-from authlab.bits import Bits, hash_bytes
+from authlab.bits import hash_bytes
 from authlab.protocol import AuthDecision, Reason, ServerSecrets, authenticate, issue_card, make_login_request
 
 # the fixed parameter set every golden vector in the suite was frozen from
@@ -13,16 +13,16 @@ GOLDEN_X_HEX = "5240bc7db80289b8e182ff0d5eace5ef4561b89376f7c12787d675b75244cd98
 GOLDEN_Y_HEX = "3ec76f7e1f2d3ee9a5056e6feb84c3d9f838e0815555a724d9912d5156e67e1d"
 
 
-def random_bits(rng: random.Random, width: int = 256) -> Bits:
-    return Bits(rng.randbytes(width // 8))
+def random_bits(rng: random.Random, width: int = 256) -> bytes:
+    return rng.randbytes(width // 8)
 
 
-def as_int(b: Bits) -> int:
+def as_int(b: bytes) -> int:
     return int.from_bytes(b, "big")
 
 
-def as_bits(v: int, width: int = 256) -> Bits:
-    return Bits(v.to_bytes(width // 8, "big"))
+def as_bits(v: int, width: int = 256) -> bytes:
+    return v.to_bytes(width // 8, "big")
 
 
 def exchange(address: tuple[str, int], frame: bytes) -> tuple[str, bytes]:
@@ -39,7 +39,7 @@ def exchange(address: tuple[str, int], frame: bytes) -> tuple[str, bytes]:
 
 @pytest.fixture
 def server_secrets() -> ServerSecrets:
-    return ServerSecrets(x=Bits.from_hex(GOLDEN_X_HEX), y=Bits.from_hex(GOLDEN_Y_HEX))
+    return ServerSecrets(x=bytes.fromhex(GOLDEN_X_HEX), y=bytes.fromhex(GOLDEN_Y_HEX))
 
 
 @pytest.fixture

@@ -5,7 +5,7 @@ from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
-from conftest import make_strawman, random_bits, recording_submit
+from conftest import as_bits, as_int, make_strawman, random_bits, recording_submit
 from authlab import attack, protocol
 from authlab.attack import Scenario, run_random_password_attack
 from authlab.bits import hash_bytes
@@ -24,7 +24,7 @@ class TestCloneCard:
 
     def test_clone_is_independent(self, card, now):
         original_n_i = card.n_i
-        dup = replace(card, n_i=card.n_i ^ hash_bytes(b"scribble"))
+        dup = replace(card, n_i=as_bits(as_int(card.n_i) ^ as_int(hash_bytes(b"scribble"))))
         assert dup.n_i != original_n_i
         assert card.n_i == original_n_i
         with pytest.raises(FrozenInstanceError):

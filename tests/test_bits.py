@@ -120,7 +120,7 @@ def test_xor_algebra():
     for width in XOR_WIDTHS:
         zeros = Bits(bytes(width // 8))
         for _ in range(200):
-            a, b, c = (random_bits(rng, width) for _ in range(3))
+            a, b, c = (Bits(random_bits(rng, width)) for _ in range(3))
             assert type(a ^ b) is Bits and (a ^ b).width == width
             assert as_int(a ^ b) == as_int(a) ^ as_int(b)
             assert a ^ zeros == a

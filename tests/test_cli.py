@@ -508,6 +508,21 @@ def test_configured_audit_file_receives_lines(tmp_path, card_path, fake_now):
     assert lines[0]["decision"] == "accept"
 
 
+@pytest.mark.parametrize(
+    "document, field, diagnostic",
+    [("card", "n_i", "bad card file"), ("card", "y", "bad card file"),
+     ("config", "x_hex", "bad server config"), ("config", "y_hex", "bad server config")],
+)
+def test_empty_hex_field_exits_2_without_traceback(card_path, config_path, fake_now, capsys, document, field, diagnostic):
+    path = card_path if document == "card" else config_path
+    path.write_text(json.dumps({**json.loads(path.read_text()), field: ""}))
+    code = main(["attack", "--card", str(card_path), "--config", str(config_path), "--trials", "2"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err.startswith(f"authlab: {diagnostic}: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_sha512_config_works_in_every_command(tmp_path, fake_now, capsys):
     x_hex, y_hex = (hash_bytes(label, "sha512").hex() for label in (b"server-x", b"server-y"))
     config = str(write_config(tmp_path, x_hex=x_hex, y_hex=y_hex, hash_id="sha512"))

@@ -8,7 +8,7 @@ import pytest
 import oracle
 from conftest import GOLDEN_PW, GOLDEN_T, as_bits, as_int, random_bits
 from authlab.attack import MEMO_SIZE
-from authlab.bits import Bits, hash_bits, hash_bytes, hash_width, hasher
+from authlab.bits import hash_bits, hash_bytes, hash_width, hasher
 from authlab.protocol import (
     AuthDecision,
     LoginRequest,
@@ -30,7 +30,7 @@ GOLDEN_CID = "171c7b96c42eeb9735243218a171550f55841429a2a502bd0c7391dda9cda38d"
 GOLDEN_C_I = "fddc8939161a8e19384fead46edea492fb062b11137f384c80166265757e7bdd"
 
 # SHA-512 at 512 bits: GOLDEN_PW at GOLDEN_T under these secrets, frozen from the
-# protocol code as it stood when every phase still computed on Bits values
+# protocol code as it stood when every phase still computed on a byte-string XOR
 GOLDEN_512_X_HEX = (
     "1a96716c7e6a98d45b6dfb355fa821f97b30e9a3fef1dfe360a7e6413305acf8"
     "331b38aefec4fc1e9760787ad8bf8acea7a2f74e3ea6cc7b6b8dc7a4b56ad189"
@@ -59,7 +59,7 @@ def random_secrets(rng: random.Random) -> ServerSecrets:
 
 def oracle_decision(secrets: ServerSecrets, req: LoginRequest, hash_id: str = "sha256") -> tuple[Reason, int]:
     """The reason and the recovered password hash the oracle gives for a fresh request."""
-    width = req.cid.width
+    width = len(req.cid) * 8
     srv = oracle.server_values(as_int(req.cid), as_int(req.n_i), as_int(secrets.y), req.t, hash_id, width)
     return Reason.OK if srv["expected_c_i"] == as_int(req.c_i) else Reason.CHECK_FAILED, srv["recovered_hpw"]
 
@@ -67,7 +67,7 @@ def oracle_decision(secrets: ServerSecrets, req: LoginRequest, hash_id: str = "s
 class TestRegistration:
     def test_xor_cancellation_recovers_password_hash(self, server_secrets):
         n_i = register_user(b"some pw", server_secrets)
-        assert n_i ^ hash_bits(server_secrets.x) == hash_bytes(b"some pw")
+        assert as_int(n_i) ^ as_int(hash_bits(server_secrets.x)) == as_int(hash_bytes(b"some pw"))
 
     def test_same_password_same_master_secret_collide(self, server_secrets):
         # identical registration values for identical passwords is a property
@@ -84,9 +84,15 @@ class TestRegistration:
         assert card.hash_id == "sha256"
         assert card.k == 256
 
+    def test_registration_value_is_exactly_bytes(self, server_secrets):
+        for hash_id in ("sha256", "sha512"):
+            n_i = register_user(GOLDEN_PW, server_secrets, hash_id)
+            assert type(n_i) is bytes
+            assert len(n_i) * 8 == hash_width(hash_id)
+
     def test_secrets_width_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            ServerSecrets(x=Bits(b"\x01" * 32), y=Bits(b"\x01" * 16))
+            ServerSecrets(x=b"\x01" * 32, y=b"\x01" * 16)
 
 
 class TestLoginRequest:
@@ -109,9 +115,14 @@ class TestLoginRequest:
 
     def test_field_width_consistency_enforced(self):
         with pytest.raises(ValueError):
-            LoginRequest(cid=Bits(b"\x00" * 32), n_i=Bits(b"\x00" * 16), c_i=Bits(b"\x00" * 32), t=0)
+            LoginRequest(cid=b"\x00" * 32, n_i=b"\x00" * 16, c_i=b"\x00" * 32, t=0)
         with pytest.raises(ValueError):
-            LoginRequest(cid=Bits(b"\x00" * 32), n_i=Bits(b"\x00" * 32), c_i=Bits(b"\x00" * 32), t=-1)
+            LoginRequest(cid=b"\x00" * 32, n_i=b"\x00" * 32, c_i=b"\x00" * 32, t=-1)
+
+    def test_empty_fields_rejected(self):
+        # bytes of one length, zero: the width rule alone would pass them
+        with pytest.raises(ValueError, match=r"non-empty and share one width, got \[0\]"):
+            LoginRequest(b"", b"", b"", 0)
 
     def test_width_mismatch_of_plain_bytes_raises_value_error(self):
         # the message is built from the lengths, so plain bytes get it too, not an AttributeError
@@ -120,8 +131,8 @@ class TestLoginRequest:
 
     def test_fields_are_exactly_bits(self, card, now):
         req = make_login_request(card, GOLDEN_PW, now)
-        assert [type(f) for f in (req.cid, req.n_i, req.c_i)] == [Bits] * 3
-        assert req.cid.width == req.c_i.width == 256
+        assert [type(f) for f in (req.cid, req.n_i, req.c_i)] == [bytes] * 3
+        assert len(req.cid) * 8 == len(req.c_i) * 8 == 256
 
     def test_timestamp_outside_64_bits_rejected(self, card):
         for t in (-1, 1 << 64):
@@ -138,7 +149,7 @@ class TestLoginRequest:
         for field in ("n_i", "y"):
             for width in (128, 512):
                 with pytest.raises(ValueError):
-                    replace(card, **{field: Bits(bytes(width // 8))})
+                    replace(card, **{field: bytes(width // 8)})
 
 
 class TestRecords:
@@ -155,7 +166,7 @@ class TestRecords:
         with pytest.raises(ValueError):
             replace(req, t=1 << 64)
         with pytest.raises(ValueError):
-            replace(req, c_i=Bits(bytes(16)))
+            replace(req, c_i=bytes(16))
         rejected = AuthDecision(Reason.CHECK_FAILED, hash_bytes(b"pw"))
         assert replace(rejected, reason=Reason.STALE_TIMESTAMP).reason is Reason.STALE_TIMESTAMP
         with pytest.raises(TypeError, match="accepted"):  # not a field: it follows from the reason
@@ -164,8 +175,8 @@ class TestRecords:
     def test_stored_ints_follow_the_fields(self, card, server_secrets):
         assert card.n_y == as_int(card.n_i) ^ as_int(card.y)
         assert server_secrets.y_int == as_int(server_secrets.y)
-        rewritten = replace(card, n_i=card.n_i ^ hash_bytes(b"scribble"))
-        assert rewritten.n_y == as_int(card.n_i ^ hash_bytes(b"scribble")) ^ as_int(card.y)
+        rewritten = replace(card, n_i=as_bits(as_int(card.n_i) ^ as_int(hash_bytes(b"scribble"))))
+        assert rewritten.n_y == as_int(card.n_i) ^ as_int(hash_bytes(b"scribble")) ^ as_int(card.y)
         assert replace(server_secrets, y=server_secrets.x).y_int == as_int(server_secrets.x)
         for value, stored in ((card, "n_y"), (server_secrets, "y_int")):
             with pytest.raises(ValueError, match=stored):  # derived, so replace cannot set it
@@ -183,10 +194,11 @@ class TestRecords:
     def test_eq_hash_and_repr_are_by_field(self, card, now):
         a, b = make_login_request(card, GOLDEN_PW, now), make_login_request(card, GOLDEN_PW, now)
         assert a == b and hash(a) == hash(b) and a is not b
-        assert repr(a).startswith(f"LoginRequest(cid=Bits.from_hex('{GOLDEN_CID}'), n_i=")
-        decision = AuthDecision(Reason.OK, hash_bytes(b"pw"))
-        assert hash(decision) == hash(AuthDecision(Reason.OK, hash_bytes(b"pw")))
-        assert repr(decision).startswith("AuthDecision(reason=<Reason.OK: 'OK'>, recovered_hpw=Bits")
+        assert repr(a).startswith(f"LoginRequest(cid={bytes.fromhex(GOLDEN_CID)!r}, n_i=")
+        hpw = hashlib.sha256(b"pw").digest()
+        decision = AuthDecision(Reason.OK, hpw)
+        assert hash(decision) == hash(AuthDecision(Reason.OK, hashlib.sha256(b"pw").digest()))
+        assert repr(decision) == f"AuthDecision(reason=<Reason.OK: 'OK'>, recovered_hpw={hpw!r})"
 
 
 class TestAuthenticate:
@@ -195,11 +207,11 @@ class TestAuthenticate:
         failed = authenticate(server_secrets, replace(make_login_request(card, GOLDEN_PW, now - 1), t=now), now)
         assert (ok.reason, failed.reason) == (Reason.OK, Reason.CHECK_FAILED)
         for decision in (ok, failed):
-            assert type(decision.recovered_hpw) is Bits
-            assert decision.recovered_hpw.width == 256
+            assert type(decision.recovered_hpw) is bytes
+            assert len(decision.recovered_hpw) * 8 == 256
 
     def test_sha512_golden_login(self, now):
-        secrets = ServerSecrets(x=Bits.from_hex(GOLDEN_512_X_HEX), y=Bits.from_hex(GOLDEN_512_Y_HEX))
+        secrets = ServerSecrets(x=bytes.fromhex(GOLDEN_512_X_HEX), y=bytes.fromhex(GOLDEN_512_Y_HEX))
         req = make_login_request(issue_card(GOLDEN_PW, secrets, "sha512"), GOLDEN_PW, now)
         assert (req.cid.hex(), req.c_i.hex()) == (GOLDEN_512_CID, GOLDEN_512_C_I)
         decision = authenticate(secrets, req, t_star=now, hash_id="sha512")
@@ -208,7 +220,7 @@ class TestAuthenticate:
 
     def test_width_below_64_bits_raises(self):
         with pytest.raises(ValueError, match="width must be at least 64 bits, got 32"):
-            ServerSecrets(x=Bits(b"\x01" * 4), y=Bits(b"\x02" * 4))
+            ServerSecrets(x=b"\x01" * 4, y=b"\x02" * 4)
 
     def test_hash_of_another_width_raises(self, card, server_secrets, now):
         req = make_login_request(card, GOLDEN_PW, now)
@@ -258,7 +270,7 @@ class TestAuthenticate:
         assert authenticate(server_secrets, req, t_star=now, skew_secs=5).accepted
 
     def test_width_mismatched_request_fails_check(self, server_secrets, now):
-        half = Bits(b"\xaa" * 16)
+        half = b"\xaa" * 16
         req = LoginRequest(cid=half, n_i=half, c_i=half, t=now)
         decision = authenticate(server_secrets, req, t_star=now)
         assert not decision.accepted
@@ -281,6 +293,11 @@ class TestChangePassword:
         decision = authenticate(server_secrets, req, t_star=now)
         assert decision.accepted
         assert decision.recovered_hpw == hash_bytes(b"fresh password")
+
+    def test_new_registration_value_is_exactly_bytes(self, card):
+        n_i = change_password(card, GOLDEN_PW, b"other").n_i
+        assert type(n_i) is bytes
+        assert len(n_i) * 8 == card.k
 
     def test_only_registration_value_changes(self, card):
         updated = change_password(card, GOLDEN_PW, b"other")
@@ -331,8 +348,7 @@ class TestProperties:
         req = make_login_request(card, GOLDEN_PW, now)
         for _ in range(100):
             bit = rng.randrange(0, 256)
-            mask = as_bits(1 << bit)
-            tampered = replace(req, c_i=req.c_i ^ mask)
+            tampered = replace(req, c_i=as_bits(as_int(req.c_i) ^ (1 << bit)))
             decision = authenticate(server_secrets, tampered, t_star=now)
             assert not decision.accepted
             assert decision.reason is Reason.CHECK_FAILED
@@ -428,7 +444,7 @@ class TestRunMemo:
             assert (as_int(req.cid), req.n_i, as_int(req.c_i), req.t) == (ref["cid"], card.n_i, ref["c_i"], t)
             # the request as sent, with its check value tampered, and with another card's n_i
             other = rng.choice([c for c in cards if c is not card])
-            for sent in (req, replace(req, c_i=req.c_i ^ as_bits(1, width)), replace(req, n_i=other.n_i)):
+            for sent in (req, replace(req, c_i=as_bits(as_int(req.c_i) ^ 1, width)), replace(req, n_i=other.n_i)):
                 decision = authenticate(secrets, sent, t_star=t, hash_id=hash_id, chain=chain)
                 assert (decision.reason, as_int(decision.recovered_hpw)) == oracle_decision(secrets, sent, hash_id)
         assert chain.cache_info().hits > 0

@@ -48,6 +48,20 @@ class TestCardFile:
         path, card = card_file
         assert load_card(path) == card
 
+    def test_loaded_fields_are_exactly_bytes(self, card_file):
+        path, card = card_file
+        loaded = load_card(path)
+        assert [type(loaded.n_i), type(loaded.y)] == [bytes] * 2
+        assert (loaded.n_i, loaded.y) == (card.n_i, card.y)
+
+    @pytest.mark.parametrize("field", ["n_i", "y"])
+    def test_empty_hex_field_rejected(self, card_file, field):
+        path, _ = card_file
+        doc = json.loads(path.read_text())
+        path.write_text(json.dumps({**doc, field: ""}))
+        with pytest.raises(CardFileError, match=f"k=256 bits: .*{field}=0"):
+            load_card(path)
+
     def test_on_disk_shape(self, card_file):
         path, card = card_file
         doc = json.loads(path.read_text())
@@ -138,6 +152,28 @@ class TestServerConfigFile:
         path = tmp_path / "server.json"
         save_server_config(path, config)
         assert load_server_config(path) == config
+
+    def test_loaded_secrets_are_exactly_bytes(self, tmp_path):
+        path = tmp_path / "server.json"
+        path.write_text(json.dumps({"x_hex": GOLDEN_X_HEX, "y_hex": GOLDEN_Y_HEX}))
+        secrets = load_server_config(path).secrets
+        assert [type(secrets.x), type(secrets.y)] == [bytes] * 2
+        assert (secrets.x.hex(), secrets.y.hex()) == (GOLDEN_X_HEX, GOLDEN_Y_HEX)
+
+    @pytest.mark.parametrize(
+        "x_hex, y_hex, message",
+        [
+            ("", GOLDEN_Y_HEX, "secret widths differ: x=0, y=256"),
+            (GOLDEN_X_HEX, "", "secret widths differ: x=256, y=0"),
+            ("", "", "width must be at least 64 bits, got 0"),
+        ],
+        ids=["x_hex", "y_hex", "both"],
+    )
+    def test_empty_hex_field_rejected(self, tmp_path, x_hex, y_hex, message):
+        path = tmp_path / "server.json"
+        path.write_text(json.dumps({"x_hex": x_hex, "y_hex": y_hex}))
+        with pytest.raises(ConfigError, match=message):
+            load_server_config(path)
 
     def test_defaults_applied(self, tmp_path):
         path = tmp_path / "server.json"

@@ -15,7 +15,7 @@ import pytest
 
 import oracle
 from conftest import GOLDEN_PW, as_bits, as_int, exchange, random_bits
-from authlab.bits import Bits, hash_bytes
+from authlab.bits import hash_bytes
 from authlab.clock import fixed_clock
 from authlab.protocol import AuthDecision, LoginRequest, Reason, authenticate, make_login_request
 from authlab.storage import ServerConfig
@@ -100,8 +100,8 @@ class TestCodec:
 
     def test_decoded_fields_are_exactly_bits(self, card, now):
         req = decode_login_request(encode_login_request(make_login_request(card, GOLDEN_PW, now)))
-        assert [type(f) for f in (req.cid, req.n_i, req.c_i)] == [Bits] * 3
-        assert req.cid.width == req.n_i.width == req.c_i.width == 256
+        assert [type(f) for f in (req.cid, req.n_i, req.c_i)] == [bytes] * 3
+        assert len(req.cid) * 8 == len(req.n_i) * 8 == len(req.c_i) * 8 == 256
 
     def test_payload_with_no_valid_split_rejected(self):
         with pytest.raises(MalformedFrameError):
@@ -138,8 +138,8 @@ class TestResponseCodec:
             AuthDecision(Reason.CHECK_FAILED, hash_bytes(b"other")),
         ):
             decoded = decode_auth_response(encode_auth_response(decision, 256))
-            assert type(decoded.recovered_hpw) is Bits
-            assert decoded.recovered_hpw.width == 256
+            assert type(decoded.recovered_hpw) is bytes
+            assert len(decoded.recovered_hpw) * 8 == 256
 
     def test_zero_fill_when_hash_never_recovered(self):
         encoded = encode_auth_response(AuthDecision(Reason.STALE_TIMESTAMP), 256)
@@ -187,7 +187,7 @@ def in_process_verdict(config: ServerConfig, frame: bytes, now: int) -> tuple[st
     except MalformedFrameError:
         return "MALFORMED_FRAME", b""
     decision = config.authenticate(req, now)
-    return decision.reason.value, encode_auth_response(decision, config.secrets.y.width)
+    return decision.reason.value, encode_auth_response(decision, len(config.secrets.y) * 8)
 
 
 class TestServer:
@@ -243,7 +243,7 @@ class TestServer:
 
     def test_verdict_equals_in_process_decoder(self, live_server, card, now, audit):
         honest = encode_login_request(make_login_request(card, GOLDEN_PW, now))
-        narrow = LoginRequest(cid=Bits(bytes(8)), n_i=Bits(bytes(8)), c_i=Bits(bytes(8)), t=now)
+        narrow = LoginRequest(cid=bytes(8), n_i=bytes(8), c_i=bytes(8), t=now)
         # (frame the decoder judges, bytes sent after it, reason the frame's kind implies)
         cases = [
             (honest[:1] + b"\x02" + honest[2:], b"", "MALFORMED_FRAME"),  # bad version
@@ -270,9 +270,9 @@ class TestServer:
             "honest": honest,
             "stale": make_login_request(card, GOLDEN_PW, now - 120),
             "future": make_login_request(card, GOLDEN_PW, now + 60),
-            "tampered": replace(honest, c_i=honest.c_i ^ as_bits(1)),
+            "tampered": replace(honest, c_i=as_bits(as_int(honest.c_i) ^ 1)),
             # fields of another width than the server's 32 bytes: refused before any hash is recovered
-            **{f"{n}-byte": LoginRequest(*(Bits(rng.randbytes(n)) for _ in range(3)), now) for n in (8, 16, 64)},
+            **{f"{n}-byte": LoginRequest(*(rng.randbytes(n) for _ in range(3)), now) for n in (8, 16, 64)},
         }
         for name, req in requests.items():
             frame = encode_login_request(req)
@@ -409,12 +409,11 @@ def audited_reasons(audit: io.StringIO) -> list[str]:
 IDLE_SERVER_OUT_OF_DESCRIPTORS = """
 import io, os, resource, sys, time
 sys.path.insert(0, {src!r})
-from authlab.bits import Bits
 from authlab.protocol import ServerSecrets
 from authlab.storage import ServerConfig
 from authlab.wire import AuthServer
 
-config = ServerConfig(ServerSecrets(x=Bits(bytes(32)), y=Bits(bytes(32))), ("127.0.0.1", 0))
+config = ServerConfig(ServerSecrets(x=bytes(32), y=bytes(32)), ("127.0.0.1", 0))
 open_fds = len(os.listdir("/proc/self/fd")) - 1  # less the one listdir held
 resource.setrlimit(resource.RLIMIT_NOFILE, (open_fds + 1, resource.getrlimit(resource.RLIMIT_NOFILE)[1]))
 server = AuthServer(config, audit_stream=io.StringIO())
@@ -434,6 +433,17 @@ class TestBoundedServer:
             held = trickle(conn, frame)  # the whole frame would take 11 s
         assert IO_TIMEOUT * 0.9 <= held < IO_TIMEOUT + 0.5
         assert audited_reasons(audit) == ["MALFORMED_FRAME"]
+
+    def test_close_before_a_whole_frame_is_read_once(self, live_server, card, now, audit, monkeypatch):
+        reads = []
+        recv_frame = wire._recv_frame
+        monkeypatch.setattr(wire, "_recv_frame", lambda *args: reads.append(args) or recv_frame(*args))
+        frame = encode_login_request(make_login_request(card, GOLDEN_PW, now))
+        for sent in (frame[:50], b""):  # a frame cut short after its header, then a close before any byte
+            assert exchange(live_server.address, sent)[1] == b""
+        assert audited_reasons(audit) == ["MALFORMED_FRAME"] * 2
+        # the acceptor's own read met each close: no second read goes after it
+        assert reads == []
 
     def test_honest_login_waits_for_a_free_handler(self, quick_server, card, now, audit):
         frame = encode_login_request(make_login_request(card, GOLDEN_PW, now))
