@@ -24,10 +24,12 @@ header, checked as soon as it is in, then the payload it declares), decode
 it with those same functions, and ignore any bytes sent after it. The
 server answers exactly one request per connection and then closes.
 
-One server handler at a time accepts. It serves, without blocking, each
-peer whose frame or close is already in, and keeps accepting; it hands the
-role to an idle handler only when a peer makes it wait and another peer
-arrives first, then waits for its own peer with plain blocking reads.
+One server handler at a time accepts, and one non-blocking reader takes
+each connection from accept() to the decision. While a peer makes it wait,
+it polls that peer and the listening socket together; if another peer
+arrives first, it hands the role to an idle handler and reads on from the
+bytes it has. The client, with no listening socket to watch, waits in its
+own timed recv, CPython's cheapest wait.
 """
 
 from __future__ import annotations
@@ -166,13 +168,13 @@ def _frame_size(buf: bytes) -> int | None:
     return _HEADER.size + _parse_header(buf[: _HEADER.size])[1] if len(buf) >= _HEADER.size else None
 
 
-def _recv_frame(conn: socket.socket, deadline: float, buf: bytes = b"") -> bytes:
-    """One whole frame, read before a monotonic deadline after the bytes
-    already in buf. Each recv asks for a maximal frame; the header is checked
-    as soon as it is in, and bytes past the frame it declares are dropped. A
-    peer that closes before sending a byte raises ConnectionError, one that
-    cuts a frame short MalformedFrameError."""
-    size = _frame_size(buf)
+def _recv_frame(conn: socket.socket, deadline: float) -> bytes:
+    """One whole frame, read before a monotonic deadline with timed blocking
+    recvs. Each recv asks for a maximal frame; the header is checked as soon
+    as it is in, and bytes past the frame it declares are dropped. A peer that
+    closes before sending a byte raises ConnectionError, one that cuts a frame
+    short MalformedFrameError."""
+    buf, size = b"", None
     while size is None or len(buf) < size:
         left = deadline - time.monotonic()
         if left <= 0:
@@ -189,38 +191,38 @@ def _recv_frame(conn: socket.socket, deadline: float, buf: bytes = b"") -> bytes
     return buf[:size]
 
 
-def _recv_ready(conn: socket.socket, deadline: float, poller) -> tuple[bytes | None, bool]:
-    """Read what conn has sent without blocking until the bytes hold a whole
-    frame or a bad header, or conn fails, or the deadline passes, and return
-    them with False; if conn closes first, return None with False. In between,
-    wait on poller, which holds the listening socket, together with conn; once
-    another peer arrives first, return the bytes with True."""
+def _recv_request(conn: socket.socket, deadline: float, poller, hand_off) -> bytes:
+    """One whole frame from a conn the server has just accepted, with the
+    checks and exceptions of _recv_frame, but read without blocking; conn
+    stays non-blocking. While conn has nothing to read, wait on poller, which
+    holds conn and may hold the listening socket; if that is ready first,
+    call hand_off(), which takes it out of poller, and read on from buf."""
+    conn.setblocking(False)
     fd = conn.fileno()
     poller.register(fd, select.POLLIN)
-    buf = b""
+    buf, size = b"", None
     try:
-        while True:
+        while size is None or len(buf) < size:
             try:
-                chunk = conn.recv(_HEADER.size + MAX_PAYLOAD, socket.MSG_DONTWAIT)
+                chunk = conn.recv(_HEADER.size + MAX_PAYLOAD)
             except BlockingIOError:
-                pass
-            else:
-                if not chunk:
-                    return None, False
-                buf += chunk
+                left = deadline - time.monotonic()
+                if left <= 0:
+                    raise TimeoutError(f"deadline passed with {len(buf)} bytes in") from None
+                ready = dict(poller.poll(left * 1000))
+                if ready and fd not in ready:
+                    hand_off()
+                continue
+            if not chunk:
+                if not buf:
+                    raise ConnectionError("connection closed before any byte")
+                raise MalformedFrameError(f"connection closed with {len(buf)} bytes in")
+            buf += chunk
+            if size is None:
                 size = _frame_size(buf)
-                if size is not None and len(buf) >= size:
-                    return buf, False
-            left = deadline - time.monotonic()
-            if left <= 0:
-                return buf, False
-            ready = dict(poller.poll(left * 1000))
-            if ready and fd not in ready:
-                return buf, True
-    except (MalformedFrameError, OSError):  # a bad header, or a failure, which _recv_frame meets again
-        return buf, False
     finally:
         poller.unregister(fd)
+    return buf[:size]
 
 
 class AuthServer:
@@ -229,14 +231,15 @@ class AuthServer:
     Building one binds config.bind_address (a failure raises OSError at once)
     and starts a fixed pool of handler_cap threads, so at most handler_cap
     connections are in service and further peers wait in the listen backlog.
-    A lock makes one idle handler at a time the acceptor. It reads what each
-    peer it accepts has already sent without blocking, serves the peer if
-    that is a whole frame or a close, and accepts the next. When a peer makes
-    it wait, it polls that peer and the listening socket together, and hands
-    the role to an idle handler only if another peer arrives first. A handler
-    gives a connection at most io_timeout seconds from accept() in total to
-    deliver its frame. Authentication is pure, so the only shared state is the
-    audit stream, guarded by a lock so each JSON line is written atomically.
+    A lock makes one idle handler at a time the acceptor. One reader takes
+    each connection it accepts from accept() to the decision: it reads
+    without blocking, and while the peer makes it wait, it polls that peer
+    and the listening socket together. If another peer arrives first, it
+    hands the role to an idle handler and reads on; else the handler serves
+    the peer and accepts the next. A handler gives a connection at most
+    io_timeout seconds from accept() in total to deliver its frame.
+    Authentication is pure, so the only shared state is the audit stream,
+    guarded by a lock so each JSON line is written atomically.
     Close the server, or use it as a context manager, for an orderly shutdown.
     """
 
@@ -284,59 +287,53 @@ class AuthServer:
         self.close()
 
     def _accept_loop(self) -> None:
-        # this handler's poll set: the listening socket, plus a peer while the acceptor waits for it
-        poller = select.poll()
-        poller.register(self._socket, select.POLLIN)
-        while True:
-            with self._acceptor:  # idle handlers wait here for the role
-                held = self._accept_until_a_peer_waits(poller)
-            if held is None:
-                return
-            self._serve(*held)  # the role handed on, the rest of the frame comes by blocking reads
+        poller = select.poll()  # the listening socket while this handler accepts, plus the peer it reads
+        accepting = False
 
-    def _accept_until_a_peer_waits(self, poller) -> tuple[socket.socket, str, float, bytes] | None:
-        """Accept peers and serve each whose frame or close is in without a wait.
-        Return the first that keeps this handler waiting until another peer
-        arrives, with its deadline and the bytes read so far; None once closing."""
-        while True:
-            try:
-                conn, client_address = self._socket.accept()
-            except OSError:
-                # accept() takes a descriptor before it waits, so when they run out it fails
-                # at once: pause, not spin; the peer stays in the backlog
-                if self._closing.wait(_ACCEPT_RETRY_SECS):
-                    return None
-                continue
-            peer = "%s:%s" % client_address[:2]
-            deadline = time.monotonic() + self.io_timeout
-            buf, another_peer = _recv_ready(conn, deadline, poller)
-            if another_peer:
-                return conn, peer, deadline, buf
-            self._serve(conn, peer, deadline, buf)
+        def hand_off() -> None:  # give up the role, and the listening socket with it
+            nonlocal accepting
+            poller.unregister(self._socket)
+            accepting = False
+            self._acceptor.release()
 
-    def _serve(self, conn: socket.socket, peer: str, deadline: float, buf: bytes | None) -> None:
         try:
-            self._handle(conn, peer, deadline, buf)
+            while True:
+                if not accepting:
+                    self._acceptor.acquire()  # idle handlers wait here for the role
+                    poller.register(self._socket, select.POLLIN)
+                    accepting = True
+                try:
+                    conn, client_address = self._socket.accept()
+                except OSError:
+                    # accept() takes a descriptor before it waits, so when they run out it fails
+                    # at once: pause, not spin; the peer stays in the backlog
+                    if self._closing.wait(_ACCEPT_RETRY_SECS):
+                        return
+                    continue
+                self._serve(conn, "%s:%s" % client_address[:2], poller, hand_off)
+        finally:
+            if accepting:
+                hand_off()
+
+    def _serve(self, conn: socket.socket, peer: str, poller, hand_off) -> None:
+        try:
+            self._handle(conn, peer, poller, hand_off)
         except Exception:
             # never let one bad connection take a handler down
             logger.exception("unhandled error serving %s", peer)
         finally:
             # discard, without waiting, what the peer already sent (up to one frame):
-            # closing with unread input makes the kernel reset the connection, not end it.
-            # Not MSG_DONTWAIT alone: once _recv_frame set a timeout, recv polls for it first
+            # closing with unread input makes the kernel reset the connection, not end it
             try:
-                conn.setblocking(False)
                 conn.recv(_HEADER.size + MAX_PAYLOAD)
             except OSError:
                 pass
             conn.close()
 
-    def _handle(self, conn: socket.socket, peer: str, deadline: float, buf: bytes | None) -> None:
-        if buf is None:  # the peer closed before its frame was whole, and _recv_ready read the close
-            self.audit(self.clock(), peer, None, "MALFORMED_FRAME")
-            return
+    def _handle(self, conn: socket.socket, peer: str, poller, hand_off) -> None:
+        deadline = time.monotonic() + self.io_timeout  # for the whole connection, from accept() just now
         try:
-            req = decode_login_request(_recv_frame(conn, deadline, buf))
+            req = decode_login_request(_recv_request(conn, deadline, poller, hand_off))
         except BadTypeError:
             self.audit(self.clock(), peer, None, "BAD_TYPE")
             return
@@ -349,7 +346,9 @@ class AuthServer:
         self.audit(ts, peer, req.cid.hex(), decision.reason.value)
         try:
             # close() sends the reply with the FIN, so the peer wakes once for both, not
-            # twice, and does not preempt a busy acceptor between its send and its close
+            # twice, and does not preempt a busy acceptor between its send and its close.
+            # conn is non-blocking, but the reply (at most 71 bytes) fits the empty send
+            # buffer of a fresh connection, so sendall never meets EAGAIN
             conn.sendall(encode_auth_response(decision, len(self.config.secrets.y) * 8), _MSG_MORE)
         except OSError:
             pass  # peer went away; the audit line already records the decision

@@ -436,14 +436,20 @@ class TestBoundedServer:
 
     def test_close_before_a_whole_frame_is_read_once(self, live_server, card, now, audit, monkeypatch):
         reads = []
-        recv_frame = wire._recv_frame
-        monkeypatch.setattr(wire, "_recv_frame", lambda *args: reads.append(args) or recv_frame(*args))
+        recv_request = wire._recv_request
+        monkeypatch.setattr(wire, "_recv_request", lambda *args: reads.append(args) or recv_request(*args))
         frame = encode_login_request(make_login_request(card, GOLDEN_PW, now))
-        for sent in (frame[:50], b""):  # a frame cut short after its header, then a close before any byte
-            assert exchange(live_server.address, sent)[1] == b""
-        assert audited_reasons(audit) == ["MALFORMED_FRAME"] * 2
-        # the acceptor's own read met each close: no second read goes after it
-        assert reads == []
+        sent = {
+            "cut after its header": frame[:50],
+            "zero-byte close": b"",
+            "version 0x02": frame[:1] + b"\x02" + frame[2:],
+            "garbage": b"GET / HTTP/1.0\r\n\r\n",
+        }
+        for n, (name, data) in enumerate(sent.items(), 1):
+            assert exchange(live_server.address, data)[1] == b"", name
+            # one read met the close or the bad header: no second read went after it
+            assert len(reads) == n, name
+        assert audited_reasons(audit) == ["MALFORMED_FRAME"] * len(sent)
 
     def test_honest_login_waits_for_a_free_handler(self, quick_server, card, now, audit):
         frame = encode_login_request(make_login_request(card, GOLDEN_PW, now))
@@ -566,6 +572,24 @@ class TestAcceptRole:
         assert len(audit.writers) == 20
         # no peer made the acceptor wait while another arrived, so it never handed the role on
         assert len(set(audit.writers)) == 1
+
+    def test_bytes_read_before_a_hand_off_count_toward_the_frame(self, server_secrets, card, now):
+        audit = ThreadRecordingStream()
+        frame = encode_login_request(make_login_request(card, GOLDEN_PW, now))
+        with AuthServer(ServerConfig(server_secrets, ("127.0.0.1", 0)), fixed_clock(now), audit_stream=audit) as srv:
+            with socket.create_connection(srv.address, timeout=5) as conn:
+                conn.sendall(frame[:50])
+                time.sleep(0.05)  # the acceptor has read the 50 bytes and waits for the rest
+                # a second peer arrives first, so the acceptor hands the role on and keeps its bytes
+                assert client_login(srv.address, card, GOLDEN_PW, fixed_clock(now)).accepted
+                conn.sendall(frame[50:])
+                conn.shutdown(socket.SHUT_WR)
+                reply = b""
+                while chunk := conn.recv(4096):
+                    reply += chunk
+        assert decode_auth_response(reply).reason is Reason.OK
+        assert audited_reasons(audit) == ["OK", "OK"]
+        assert len(set(audit.writers)) == 2  # each peer was served by its own handler
 
     def test_login_answered_while_another_peer_is_silent(self, live_server, card, now):
         with socket.create_connection(live_server.address, timeout=5):
