@@ -322,8 +322,8 @@ class AuthServer:
             # never let one bad connection take a handler down
             logger.exception("unhandled error serving %s", peer)
         finally:
-            # discard, without waiting, what the peer already sent (up to one frame):
-            # closing with unread input makes the kernel reset the connection, not end it
+            # discard, without waiting (_recv_request left conn non-blocking), what the peer already
+            # sent (up to one frame): closing with unread input makes the kernel reset the connection
             try:
                 conn.recv(_HEADER.size + MAX_PAYLOAD)
             except OSError:
