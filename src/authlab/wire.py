@@ -24,12 +24,12 @@ header, checked as soon as it is in, then the payload it declares), decode
 it with those same functions, and ignore any bytes sent after it. The
 server answers exactly one request per connection and then closes.
 
-One server handler at a time accepts, and one non-blocking reader takes
-each connection from accept() to the decision. While a peer makes it wait,
-it polls that peer and the listening socket together; if another peer
-arrives first, it hands the role to an idle handler and reads on from the
-bytes it has. The client, with no listening socket to watch, waits in its
-own timed recv, CPython's cheapest wait.
+The server is one thread running one loop. With no peer held it waits in
+accept() itself and reads the new peer without blocking; a peer that makes
+it wait is held, and the loop polls the held peers and the listening socket
+together, reading each peer on from the bytes it has. The client, with no
+listening socket to watch, waits in its own timed recv, CPython's cheapest
+wait.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ MSG_LOGIN_REQUEST = 0x01
 MSG_AUTH_RESPONSE = 0x02
 WIRE_VERSION = 0x01
 MAX_PAYLOAD = 4096
-_ACCEPT_RETRY_SECS = 0.05  # a server handler's pause after a failed accept()
+_ACCEPT_RETRY_SECS = 0.05  # the server's pause after a failed accept()
 _MSG_MORE = getattr(socket, "MSG_MORE", 0)  # Linux: hold the bytes back for more, or for the FIN
 
 _HEADER = struct.Struct(">BBI")
@@ -191,56 +191,20 @@ def _recv_frame(conn: socket.socket, deadline: float) -> bytes:
     return buf[:size]
 
 
-def _recv_request(conn: socket.socket, deadline: float, poller, hand_off) -> bytes:
-    """One whole frame from a conn the server has just accepted, with the
-    checks and exceptions of _recv_frame, but read without blocking; conn
-    stays non-blocking. While conn has nothing to read, wait on poller, which
-    holds conn and may hold the listening socket; if that is ready first,
-    call hand_off(), which takes it out of poller, and read on from buf."""
-    conn.setblocking(False)
-    fd = conn.fileno()
-    poller.register(fd, select.POLLIN)
-    buf, size = b"", None
-    try:
-        while size is None or len(buf) < size:
-            try:
-                chunk = conn.recv(_HEADER.size + MAX_PAYLOAD)
-            except BlockingIOError:
-                left = deadline - time.monotonic()
-                if left <= 0:
-                    raise TimeoutError(f"deadline passed with {len(buf)} bytes in") from None
-                ready = dict(poller.poll(left * 1000))
-                if ready and fd not in ready:
-                    hand_off()
-                continue
-            if not chunk:
-                if not buf:
-                    raise ConnectionError("connection closed before any byte")
-                raise MalformedFrameError(f"connection closed with {len(buf)} bytes in")
-            buf += chunk
-            if size is None:
-                size = _frame_size(buf)
-    finally:
-        poller.unregister(fd)
-    return buf[:size]
-
-
 class AuthServer:
     """One-request-per-connection authentication server, running once built.
 
     Building one binds config.bind_address (a failure raises OSError at once)
-    and starts a fixed pool of handler_cap threads, so at most handler_cap
-    connections are in service and further peers wait in the listen backlog.
-    A lock makes one idle handler at a time the acceptor. One reader takes
-    each connection it accepts from accept() to the decision: it reads
-    without blocking, and while the peer makes it wait, it polls that peer
-    and the listening socket together. If another peer arrives first, it
-    hands the role to an idle handler and reads on; else the handler serves
-    the peer and accepts the next. A handler gives a connection at most
-    io_timeout seconds from accept() in total to deliver its frame.
-    Authentication is pure, so the only shared state is the audit stream,
-    guarded by a lock so each JSON line is written atomically.
-    Close the server, or use it as a context manager, for an orderly shutdown.
+    and starts one thread, which serves every connection. With no peer held,
+    it waits in accept() itself and reads the new peer without blocking: a
+    peer whose frame, or close, is already in is answered at once. A peer
+    that makes it wait is held, and the thread polls the held peers together
+    with the listening socket, which it leaves in the backlog while
+    handler_cap peers are held. Each held peer is read as its bytes arrive
+    and finished once: it has io_timeout seconds from accept() in total to
+    deliver its frame. Authentication is pure, and this thread is the audit
+    stream's only writer. Close the server, or use it as a context manager,
+    for an orderly shutdown.
     """
 
     io_timeout = 5.0
@@ -252,32 +216,25 @@ class AuthServer:
         self.config = config
         self.clock = clock
         self._audit_stream = audit_stream if audit_stream is not None else sys.stderr
-        self._audit_lock = threading.Lock()
-        self._acceptor = threading.Lock()  # held by the one handler that accepts
         self._closing = threading.Event()
-        # a burst of a few dozen connects meeting a busy pool must wait in the
-        # backlog, not overflow it: with a backlog of 5, peers were reset
+        # a burst of a few dozen connects meeting a full set of held peers must wait in
+        # the backlog, not overflow it: with a backlog of 5, peers were reset
         self._socket = socket.create_server(config.bind_address, family=_family(config.bind_address[0]), backlog=128)
         # actually bound (host, port); the port is resolved even when bound to 0
         self.address: tuple[str, int] = self._socket.getsockname()[:2]
-        self._handlers = [
-            threading.Thread(target=self._accept_loop, name=f"authlab-handler-{i}")
-            for i in range(self.handler_cap)
-        ]
-        for handler in self._handlers:
-            handler.start()
+        self._thread = threading.Thread(target=self._run, name="authlab-server")
+        self._thread.start()
 
     def close(self) -> None:
-        """Stop accepting; each handler finishes the connection it holds, then
-        exits. Peers still in the backlog are reset."""
+        """Stop accepting, finish the connections held, then stop the thread.
+        Peers still in the backlog are reset."""
         self._closing.set()
         try:
-            # on Linux this fails the acceptor's accept(), or ends its poll with POLLHUP
+            # on Linux this fails a waiting accept(), or ends a poll of the listening socket
             self._socket.shutdown(socket.SHUT_RDWR)
         except OSError:
             pass  # already closed
-        for handler in self._handlers:
-            handler.join()
+        self._thread.join()
         self._socket.close()
 
     def __enter__(self) -> "AuthServer":
@@ -286,58 +243,77 @@ class AuthServer:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    def _accept_loop(self) -> None:
-        poller = select.poll()  # the listening socket while this handler accepts, plus the peer it reads
-        accepting = False
+    def _run(self) -> None:
+        held: dict[int, tuple[socket.socket, str, float, bytes]] = {}  # fd: (conn, peer, deadline, bytes so far)
+        listener = self._socket.fileno()
+        while held or not self._closing.is_set():
+            if not held:
+                self._accept(held)  # nothing else to watch: wait in accept() itself, the cheapest wait
+                continue
+            poller = select.poll()
+            for fd in held:
+                poller.register(fd, select.POLLIN)
+            if len(held) < self.handler_cap and not self._closing.is_set():
+                poller.register(listener, select.POLLIN)
+            wake = min(deadline for _, _, deadline, _ in held.values())
+            ready = {fd for fd, _ in poller.poll(max(wake - time.monotonic(), 0) * 1000)}
+            now = time.monotonic()
+            for fd in [fd for fd, (_, _, deadline, _) in held.items() if fd in ready or deadline <= now]:
+                self._read(*held.pop(fd), held)
+            if listener in ready:
+                self._accept(held)
 
-        def hand_off() -> None:  # give up the role, and the listening socket with it
-            nonlocal accepting
-            poller.unregister(self._socket)
-            accepting = False
-            self._acceptor.release()
-
+    def _accept(self, held: dict) -> None:
         try:
-            while True:
-                if not accepting:
-                    self._acceptor.acquire()  # idle handlers wait here for the role
-                    poller.register(self._socket, select.POLLIN)
-                    accepting = True
-                try:
-                    conn, client_address = self._socket.accept()
-                except OSError:
-                    # accept() takes a descriptor before it waits, so when they run out it fails
-                    # at once: pause, not spin; the peer stays in the backlog
-                    if self._closing.wait(_ACCEPT_RETRY_SECS):
-                        return
-                    continue
-                self._serve(conn, "%s:%s" % client_address[:2], poller, hand_off)
-        finally:
-            if accepting:
-                hand_off()
+            conn, client_address = self._socket.accept()
+        except OSError:
+            # accept() takes a descriptor before it waits, so when they run out it fails at
+            # once: pause, not spin; the peer stays in the backlog
+            self._closing.wait(_ACCEPT_RETRY_SECS)
+            return
+        conn.setblocking(False)
+        self._read(conn, "%s:%s" % client_address[:2], time.monotonic() + self.io_timeout, b"", held)
 
-    def _serve(self, conn: socket.socket, peer: str, poller, hand_off) -> None:
+    def _read(self, conn: socket.socket, peer: str, deadline: float, buf: bytes, held: dict) -> None:
+        """Read what conn has sent, without waiting. While its frame is short and its
+        deadline ahead, hold it in held with the bytes so far; else answer it. Each
+        recv asks for a maximal frame; the header is checked as soon as it is in, and
+        bytes past the frame it declares are dropped."""
+        frame = b""  # stays empty, which the decoder refuses, if the frame never comes whole
         try:
-            self._handle(conn, peer, poller, hand_off)
+            while chunk := conn.recv(_HEADER.size + MAX_PAYLOAD):
+                buf += chunk
+                size = _frame_size(buf)
+                if size is not None and len(buf) >= size:
+                    frame = buf[:size]
+                    break
+        except BlockingIOError:
+            if time.monotonic() < deadline:
+                held[conn.fileno()] = conn, peer, deadline, buf
+                return
+        except (MalformedFrameError, OSError):
+            pass  # a bad header, or the socket failed
+        try:
+            self._answer(conn, peer, frame)
         except Exception:
-            # never let one bad connection take a handler down
+            # never let one bad connection stop the server
             logger.exception("unhandled error serving %s", peer)
         finally:
-            # discard, without waiting (_recv_request left conn non-blocking), what the peer already
-            # sent (up to one frame): closing with unread input makes the kernel reset the connection
+            # discard, without waiting, what the peer already sent (up to one frame):
+            # closing with unread input makes the kernel reset the connection
             try:
                 conn.recv(_HEADER.size + MAX_PAYLOAD)
             except OSError:
                 pass
             conn.close()
 
-    def _handle(self, conn: socket.socket, peer: str, poller, hand_off) -> None:
-        deadline = time.monotonic() + self.io_timeout  # for the whole connection, from accept() just now
+    def _answer(self, conn: socket.socket, peer: str, frame: bytes) -> None:
         try:
-            req = decode_login_request(_recv_request(conn, deadline, poller, hand_off))
+            req = decode_login_request(frame)
         except BadTypeError:
             self.audit(self.clock(), peer, None, "BAD_TYPE")
             return
-        except (MalformedFrameError, OSError):
+        except MalformedFrameError:
             self.audit(self.clock(), peer, None, "MALFORMED_FRAME")
             return
         ts = self.clock()  # the receipt time, read once: the decision's t_star and the audit line's ts
@@ -346,9 +322,8 @@ class AuthServer:
         self.audit(ts, peer, req.cid.hex(), decision.reason.value)
         try:
             # close() sends the reply with the FIN, so the peer wakes once for both, not
-            # twice, and does not preempt a busy acceptor between its send and its close.
-            # conn is non-blocking, but the reply (at most 71 bytes) fits the empty send
-            # buffer of a fresh connection, so sendall never meets EAGAIN
+            # twice. conn is non-blocking, but the reply (at most 71 bytes) fits the empty
+            # send buffer of a fresh connection, so sendall never meets EAGAIN
             conn.sendall(encode_auth_response(decision, len(self.config.secrets.y) * 8), _MSG_MORE)
         except OSError:
             pass  # peer went away; the audit line already records the decision
@@ -362,13 +337,11 @@ class AuthServer:
         # other fields are the clock's int, lowercase hex or a fixed name, which JSON never escapes.
         cid = "null" if cid_hex is None else f'"{cid_hex}"'
         decision = "accept" if reason == "OK" else "reject"
-        line = (
+        self._audit_stream.write(
             f'{{"ts": {ts}, "peer": {encode_basestring_ascii(peer)}, "cid_hex": {cid}, '
             f'"decision": "{decision}", "reason": "{reason}"}}\n'
         )
-        with self._audit_lock:
-            self._audit_stream.write(line)
-            self._audit_stream.flush()
+        self._audit_stream.flush()
 
 
 def client_login(

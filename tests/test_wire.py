@@ -1,3 +1,4 @@
+import errno
 import io
 import json
 import random
@@ -404,8 +405,8 @@ def audited_reasons(audit: io.StringIO) -> list[str]:
 
 
 # Builds an idle server under a descriptor limit 1 above what is open, which its listening
-# socket takes, so the acceptor's every accept() fails at once with EMFILE. Then prints
-# the CPU seconds it used per wall second over 1 s, and the seconds close() took.
+# socket takes, so its every accept() fails at once with EMFILE. Then prints the CPU
+# seconds it used per wall second over 1 s, and the seconds close() took.
 IDLE_SERVER_OUT_OF_DESCRIPTORS = """
 import io, os, resource, sys, time
 sys.path.insert(0, {src!r})
@@ -425,6 +426,35 @@ server.close()
 print(cpu_per_sec, time.monotonic() - start)
 """
 
+# Builds a server under a descriptor limit 2 above what is open: its listening socket takes
+# one, and a silent peer it holds takes the last. A second peer waits in the backlog, so
+# every accept() the server makes while it polls fails at once with EMFILE. Then prints the
+# CPU seconds it used per wall second over 1 s, the seconds close() took, and the audit lines.
+HELD_PEER_OUT_OF_DESCRIPTORS = """
+import io, os, resource, socket, sys, time
+sys.path.insert(0, {src!r})
+from authlab.protocol import ServerSecrets
+from authlab.storage import ServerConfig
+from authlab.wire import AuthServer
+
+config = ServerConfig(ServerSecrets(x=bytes(32), y=bytes(32)), ("127.0.0.1", 0))
+silent, waiting = socket.socket(), socket.socket()  # the peers' own descriptors, taken first
+open_fds = len(os.listdir("/proc/self/fd")) - 1  # less the one listdir held
+resource.setrlimit(resource.RLIMIT_NOFILE, (open_fds + 2, resource.getrlimit(resource.RLIMIT_NOFILE)[1]))
+audit = io.StringIO()
+server = AuthServer(config, audit_stream=audit)
+server.io_timeout = {io_timeout}
+silent.connect(server.address)
+time.sleep(0.1)  # the server has accepted the silent peer and holds it
+waiting.connect(server.address)
+wall, cpu = time.monotonic(), time.process_time()
+time.sleep(1)
+cpu_per_sec = (time.process_time() - cpu) / (time.monotonic() - wall)
+start = time.monotonic()
+server.close()
+print(cpu_per_sec, time.monotonic() - start, len(audit.getvalue().splitlines()))
+"""
+
 
 class TestBoundedServer:
     def test_trickling_peer_cut_at_deadline(self, quick_server, card, now, audit):
@@ -434,10 +464,15 @@ class TestBoundedServer:
         assert IO_TIMEOUT * 0.9 <= held < IO_TIMEOUT + 0.5
         assert audited_reasons(audit) == ["MALFORMED_FRAME"]
 
-    def test_close_before_a_whole_frame_is_read_once(self, live_server, card, now, audit, monkeypatch):
-        reads = []
-        recv_request = wire._recv_request
-        monkeypatch.setattr(wire, "_recv_request", lambda *args: reads.append(args) or recv_request(*args))
+    def test_close_before_a_whole_frame_is_read_once(self, server_secrets, card, now, audit, monkeypatch):
+        reads = []  # (peer, whether the read finished the connection, whether before its deadline)
+        read = AuthServer._read
+
+        def recording_read(self, conn, peer, deadline, buf, held):
+            read(self, conn, peer, deadline, buf, held)
+            reads.append((peer, conn.fileno() == -1, time.monotonic() < deadline))
+
+        monkeypatch.setattr(AuthServer, "_read", recording_read)
         frame = encode_login_request(make_login_request(card, GOLDEN_PW, now))
         sent = {
             "cut after its header": frame[:50],
@@ -445,10 +480,15 @@ class TestBoundedServer:
             "version 0x02": frame[:1] + b"\x02" + frame[2:],
             "garbage": b"GET / HTTP/1.0\r\n\r\n",
         }
-        for n, (name, data) in enumerate(sent.items(), 1):
-            assert exchange(live_server.address, data)[1] == b"", name
-            # one read met the close or the bad header: no second read went after it
-            assert len(reads) == n, name
+        with AuthServer(ServerConfig(server_secrets, ("127.0.0.1", 0)), fixed_clock(now), audit_stream=audit) as srv:
+            peers = {name: exchange(srv.address, data) for name, data in sent.items()}
+        # the server's thread has stopped, so every read it made is recorded
+        for name, (peer, reply) in peers.items():
+            assert reply == b"", name
+            # any reads that held the peer came first; the read that met the close or the
+            # bad header, before the deadline, finished it, and no read went after it
+            finished = [(done, early) for p, done, early in reads if p == peer]
+            assert finished == [(False, True)] * (len(finished) - 1) + [(True, True)], name
         assert audited_reasons(audit) == ["MALFORMED_FRAME"] * len(sent)
 
     def test_honest_login_waits_for_a_free_handler(self, quick_server, card, now, audit):
@@ -468,7 +508,7 @@ class TestBoundedServer:
         assert decision.reason is Reason.OK
         assert waited < 2 * IO_TIMEOUT
         assert all(h < IO_TIMEOUT + 0.5 for h in held)
-        # every handler was held, so the honest peer was served only after a trickler was cut
+        # handler_cap peers were held, so the honest peer was served only after a trickler was cut
         reasons = audited_reasons(audit)
         assert reasons[0] == "MALFORMED_FRAME"
         assert sorted(reasons) == ["MALFORMED_FRAME"] * cap + ["OK"]
@@ -480,14 +520,14 @@ class TestBoundedServer:
         try:
             for _ in range(srv.handler_cap):
                 conns.append(socket.create_connection(srv.address, timeout=5))
-            time.sleep(0.1)  # every handler is now waiting for a header
+            time.sleep(0.1)  # the server now holds handler_cap peers, each waiting for a header
             start = time.monotonic()
             srv.close()
             took = time.monotonic() - start
         finally:
             for conn in conns:
                 conn.close()
-            srv.close()  # a no-op once closed; stops the handlers if the test failed early
+            srv.close()  # a no-op once closed; stops the server if the test failed early
         assert took < IO_TIMEOUT + 0.5
         assert audited_reasons(audit) == ["MALFORMED_FRAME"] * srv.handler_cap
         assert not [t for t in threading.enumerate() if t.name.startswith("authlab-")]
@@ -499,7 +539,7 @@ class TestBoundedServer:
         try:
             for _ in range(2 * srv.handler_cap):
                 conns.append(socket.create_connection(srv.address, timeout=5))
-            time.sleep(0.1)  # every handler holds an idle peer; as many again wait in the backlog
+            time.sleep(0.1)  # the server holds handler_cap idle peers; as many again wait in the backlog
             start = time.monotonic()
             srv.close()
             took = time.monotonic() - start
@@ -515,13 +555,37 @@ class TestBoundedServer:
     @pytest.mark.skipif(sys.platform != "linux", reason="counts descriptors in /proc/self/fd")
     def test_idle_server_out_of_descriptors_does_not_spin(self):
         # accept() takes a descriptor before it waits; with none to spare it gets EMFILE at
-        # once, and before a pause the handlers retried in a busy loop
+        # once, and before a pause the server retried in a busy loop
         script = IDLE_SERVER_OUT_OF_DESCRIPTORS.format(src=str(Path(wire.__file__).parent.parent))
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         cpu_per_sec, close_secs = map(float, proc.stdout.split())
         assert cpu_per_sec < 0.2
         assert close_secs < 0.5
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="counts descriptors in /proc/self/fd")
+    def test_server_holding_a_peer_out_of_descriptors_does_not_spin(self):
+        # the waiting peer keeps the listening socket readable, so a poll that met a failed
+        # accept() without a pause would return at once, again and again
+        io_timeout = 2.0
+        script = HELD_PEER_OUT_OF_DESCRIPTORS.format(src=str(Path(wire.__file__).parent.parent), io_timeout=io_timeout)
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        cpu_per_sec, close_secs, audit_lines = map(float, proc.stdout.split())
+        assert cpu_per_sec < 0.2
+        assert close_secs < io_timeout  # the silent peer is cut at its deadline
+        assert audit_lines == 1  # the waiting peer is reset unserved
+
+    def test_failed_audit_write_closes_one_peer_and_keeps_serving(self, server_secrets, card, now, caplog):
+        audit = FailingOnceStream()
+        frame = encode_login_request(make_login_request(card, GOLDEN_PW, now))
+        with AuthServer(ServerConfig(server_secrets, ("127.0.0.1", 0)), fixed_clock(now), audit_stream=audit) as srv:
+            peer, reply = exchange(srv.address, frame)
+            assert reply == b""  # the decision could not be audited, so it is not sent
+            assert client_login(srv.address, card, GOLDEN_PW, fixed_clock(now)).reason is Reason.OK
+        errors = [r.getMessage() for r in caplog.records if r.getMessage().startswith("unhandled error")]
+        assert errors == [f"unhandled error serving {peer}"]
+        assert audited_reasons(audit) == ["OK"]
 
     def test_close_of_an_idle_server_returns_at_once(self, server_secrets, now):
         srv = AuthServer(ServerConfig(server_secrets, ("127.0.0.1", 0)), fixed_clock(now), audit_stream=io.StringIO())
@@ -547,8 +611,21 @@ class TestBoundedServer:
         assert all(d.reason is Reason.OK and d.recovered_hpw == hash_bytes(pw) for pw, d in results)
         cids = [json.loads(line)["cid_hex"] for line in audit.getvalue().splitlines()]
         assert sorted(cids) == sorted(make_login_request(card, pw, now).cid.hex() for pw, _ in results)
-        handlers = [t for t in threading.enumerate() if t.name.startswith("authlab-handler")]
-        assert len(handlers) == live_server.handler_cap
+        assert [t.name for t in threading.enumerate() if t.name.startswith("authlab-")] == ["authlab-server"]
+
+
+class FailingOnceStream(io.StringIO):
+    """An audit stream whose first write raises OSError, as a full disk would."""
+
+    def __init__(self):
+        super().__init__()
+        self.failed = False
+
+    def write(self, text: str) -> int:
+        if not self.failed:
+            self.failed = True
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return super().write(text)
 
 
 class ThreadRecordingStream(io.StringIO):
@@ -570,35 +647,37 @@ class TestAcceptRole:
             for _ in range(20):
                 assert client_login(srv.address, card, GOLDEN_PW, fixed_clock(now)).accepted
         assert len(audit.writers) == 20
-        # no peer made the acceptor wait while another arrived, so it never handed the role on
+        # one thread serves every peer
         assert len(set(audit.writers)) == 1
 
-    def test_bytes_read_before_a_hand_off_count_toward_the_frame(self, server_secrets, card, now):
-        audit = ThreadRecordingStream()
+    def test_bytes_read_before_a_hand_off_count_toward_the_frame(self, live_server, card, now, audit):
         frame = encode_login_request(make_login_request(card, GOLDEN_PW, now))
-        with AuthServer(ServerConfig(server_secrets, ("127.0.0.1", 0)), fixed_clock(now), audit_stream=audit) as srv:
-            with socket.create_connection(srv.address, timeout=5) as conn:
-                conn.sendall(frame[:50])
-                time.sleep(0.05)  # the acceptor has read the 50 bytes and waits for the rest
-                # a second peer arrives first, so the acceptor hands the role on and keeps its bytes
-                assert client_login(srv.address, card, GOLDEN_PW, fixed_clock(now)).accepted
-                conn.sendall(frame[50:])
-                conn.shutdown(socket.SHUT_WR)
-                reply = b""
-                while chunk := conn.recv(4096):
-                    reply += chunk
+        other_pw = b"another-pw"  # any password logs in; this one gives the second peer its own cid
+        with socket.create_connection(live_server.address, timeout=5) as conn:
+            conn.sendall(frame[:50])
+            time.sleep(0.05)  # the server has read the 50 bytes and holds the peer for the rest
+            # a second peer arrives and is answered while the first one's frame is incomplete
+            assert client_login(live_server.address, card, other_pw, fixed_clock(now)).accepted
+            conn.sendall(frame[50:])
+            conn.shutdown(socket.SHUT_WR)
+            reply = b""
+            while chunk := conn.recv(4096):
+                reply += chunk
         assert decode_auth_response(reply).reason is Reason.OK
-        assert audited_reasons(audit) == ["OK", "OK"]
-        assert len(set(audit.writers)) == 2  # each peer was served by its own handler
+        lines = [json.loads(line) for line in audit.getvalue().splitlines()]
+        assert [(line["cid_hex"], line["reason"]) for line in lines] == [
+            (make_login_request(card, other_pw, now).cid.hex(), "OK"),
+            (decode_login_request(frame).cid.hex(), "OK"),
+        ]
 
     def test_login_answered_while_another_peer_is_silent(self, live_server, card, now):
         with socket.create_connection(live_server.address, timeout=5):
-            time.sleep(0.05)  # the acceptor has taken the silent peer and waits for its frame
+            time.sleep(0.05)  # the server has taken the silent peer and holds it for its frame
             start = time.monotonic()
             decision = client_login(live_server.address, card, GOLDEN_PW, fixed_clock(now))
             took = time.monotonic() - start
         assert decision.reason is Reason.OK
-        # the new peer made the acceptor hand the role on, so an idle handler served it at once
+        # the server polls the listening socket with the held peer, so it served the new one at once
         assert took < live_server.io_timeout / 3
 
 
