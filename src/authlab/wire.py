@@ -199,10 +199,10 @@ class AuthServer:
     it waits in accept() itself and reads the new peer without blocking: a
     peer whose frame, or close, is already in is answered at once. A peer
     that makes it wait is held, and the thread polls the held peers together
-    with the listening socket, which it leaves in the backlog while
-    handler_cap peers are held. Each held peer is read as its bytes arrive
-    and finished once: it has io_timeout seconds from accept() in total to
-    deliver its frame. Authentication is pure, and this thread is the audit
+    with the listening socket; while handler_cap peers are held, it leaves
+    further peers in the listen backlog. Each held peer is read as its bytes
+    arrive and finished once: it has io_timeout seconds from accept() in
+    total to deliver its frame. Authentication is pure, and this thread is the audit
     stream's only writer. Close the server, or use it as a context manager,
     for an orderly shutdown.
     """
