@@ -19,7 +19,7 @@ from contextlib import nullcontext
 
 from authlab.attack import Scenario, run_random_password_attack
 from authlab.bits import parse_digits
-from authlab.clock import Clock, clock_from_env
+from authlab.clock import Clock, clock_from_env, fixed_clock
 from authlab.protocol import AuthDecision, change_password, issue_card
 from authlab.storage import (
     CardFileError,
@@ -168,7 +168,7 @@ def cmd_attack(args: argparse.Namespace, clock: Clock) -> int:
             return EXIT_BAD_INPUT
 
         def submit(c, pw, t):
-            return client_login(address, c, pw, clock)
+            return client_login(address, c, pw, fixed_clock(t))  # the runner's one reading for the trial
 
     scenario = Scenario[args.scenario.upper().replace("-", "_")]
     try:

@@ -19,10 +19,9 @@ The decoders are strict: given one whole frame, each raises BadTypeError
 for an unexpected message type and MalformedFrameError for any other fault
 (a wrong version or length, trailing bytes, a payload that does not parse);
 an all-zero recovered hash is the fill, so it decodes as none. The server
-and the client each read one frame off the socket before a deadline (the
-header, checked as soon as it is in, then the payload it declares), decode
-it with those same functions, and ignore any bytes sent after it. The
-server answers exactly one request per connection and then closes.
+and the client each cut one frame off the socket with _frame_in before a
+deadline and decode it with those same functions. The server answers
+exactly one request per connection and then closes.
 
 The server is one thread running one loop. With no peer held it waits in
 accept() itself and reads the new peer without blocking; a peer that makes
@@ -163,19 +162,23 @@ def _family(host: str) -> socket.AddressFamily:
     return socket.AF_INET6 if ":" in host else socket.AF_INET
 
 
-def _frame_size(buf: bytes) -> int | None:
-    """The size of the frame buf begins, once its header is in and checked; None before."""
-    return _HEADER.size + _parse_header(buf[: _HEADER.size])[1] if len(buf) >= _HEADER.size else None
+def _frame_in(buf: bytes) -> bytes | None:
+    """The frame buf begins, once it is all in; None before. The header is
+    checked as soon as it is in, a bad one raising MalformedFrameError, and
+    bytes past the frame it declares are dropped."""
+    if len(buf) < _HEADER.size:
+        return None
+    size = _HEADER.size + _parse_header(buf[: _HEADER.size])[1]
+    return buf[:size] if len(buf) >= size else None
 
 
 def _recv_frame(conn: socket.socket, deadline: float) -> bytes:
-    """One whole frame, read before a monotonic deadline with timed blocking
-    recvs. Each recv asks for a maximal frame; the header is checked as soon
-    as it is in, and bytes past the frame it declares are dropped. A peer that
-    closes before sending a byte raises ConnectionError, one that cuts a frame
-    short MalformedFrameError."""
-    buf, size = b"", None
-    while size is None or len(buf) < size:
+    """One frame (see _frame_in), read before a monotonic deadline with timed
+    blocking recvs of a maximal frame each. A peer that closes before sending
+    a byte raises ConnectionError, one that cuts a frame short
+    MalformedFrameError."""
+    buf = b""
+    while (frame := _frame_in(buf)) is None:
         left = deadline - time.monotonic()
         if left <= 0:
             raise TimeoutError(f"deadline passed with {len(buf)} bytes in")
@@ -186,9 +189,7 @@ def _recv_frame(conn: socket.socket, deadline: float) -> bytes:
                 raise ConnectionError("connection closed before any byte")
             raise MalformedFrameError(f"connection closed with {len(buf)} bytes in")
         buf += chunk
-        if size is None:
-            size = _frame_size(buf)
-    return buf[:size]
+    return frame
 
 
 class AuthServer:
@@ -275,18 +276,14 @@ class AuthServer:
         self._read(conn, "%s:%s" % client_address[:2], time.monotonic() + self.io_timeout, b"", held)
 
     def _read(self, conn: socket.socket, peer: str, deadline: float, buf: bytes, held: dict) -> None:
-        """Read what conn has sent, without waiting. While its frame is short and its
-        deadline ahead, hold it in held with the bytes so far; else answer it. Each
-        recv asks for a maximal frame; the header is checked as soon as it is in, and
-        bytes past the frame it declares are dropped."""
-        frame = b""  # stays empty, which the decoder refuses, if the frame never comes whole
+        """Read what conn has sent, without waiting, a maximal frame per recv, and
+        cut its frame with _frame_in. While the frame is not in and the deadline is
+        ahead, hold conn in held with the bytes so far; else answer it."""
+        frame = None
         try:
-            while chunk := conn.recv(_HEADER.size + MAX_PAYLOAD):
+            while frame is None and (chunk := conn.recv(_HEADER.size + MAX_PAYLOAD)):
                 buf += chunk
-                size = _frame_size(buf)
-                if size is not None and len(buf) >= size:
-                    frame = buf[:size]
-                    break
+                frame = _frame_in(buf)
         except BlockingIOError:
             if time.monotonic() < deadline:
                 held[conn.fileno()] = conn, peer, deadline, buf
@@ -294,7 +291,8 @@ class AuthServer:
         except (MalformedFrameError, OSError):
             pass  # a bad header, or the socket failed
         try:
-            self._answer(conn, peer, frame)
+            # a frame that never came whole is answered as b"", which the decoder refuses
+            self._answer(conn, peer, b"" if frame is None else frame)
         except Exception:
             # never let one bad connection stop the server
             logger.exception("unhandled error serving %s", peer)
@@ -308,15 +306,13 @@ class AuthServer:
             conn.close()
 
     def _answer(self, conn: socket.socket, peer: str, frame: bytes) -> None:
+        ts = self.clock()  # the receipt time, read once: the decision's t_star and the audit line's ts
         try:
             req = decode_login_request(frame)
-        except BadTypeError:
-            self.audit(self.clock(), peer, None, "BAD_TYPE")
+        except (BadTypeError, MalformedFrameError) as exc:
+            reason = "BAD_TYPE" if isinstance(exc, BadTypeError) else "MALFORMED_FRAME"
+            self.audit(ts, peer, None, reason)
             return
-        except MalformedFrameError:
-            self.audit(self.clock(), peer, None, "MALFORMED_FRAME")
-            return
-        ts = self.clock()  # the receipt time, read once: the decision's t_star and the audit line's ts
         decision = self.config.authenticate(req, ts)
         # audit before replying, so a client that has its verdict can already read the line
         self.audit(ts, peer, req.cid.hex(), decision.reason.value)

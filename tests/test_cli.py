@@ -303,6 +303,22 @@ class TestAttack:
         assert code == 0
         assert json.loads(out)["acceptance_rate"] == 1.0
 
+    def test_remote_mode_reads_the_clock_once_per_trial(self, card_path, config_path, live_server, now, monkeypatch, capsys):
+        reads = []
+
+        def counting_clock():
+            reads.append(now)
+            return now
+
+        monkeypatch.setattr("authlab.cli.clock_from_env", lambda: counting_clock)
+        code = main([
+            "attack", "--card", str(card_path), "--config", str(config_path),
+            "--trials", "5", "--seed", "5", "--remote", live_server,
+        ])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["accepted"] == 5
+        assert len(reads) == 5  # the runner's one reading per trial, which each login is built at
+
     def test_bare_remote_flag_targets_the_config_bind_address(self, card_path, tmp_path, live_server, fake_now, capsys):
         config = write_config(tmp_path, bind_address=live_server)
         code = main(["attack", "--card", str(card_path), "--config", str(config), "--trials", "3", "--remote"])

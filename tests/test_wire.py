@@ -369,7 +369,8 @@ class TestAuditLine:
         clock = CountingClock(now)
         with AuthServer(ServerConfig(server_secrets, ("127.0.0.1", 0)), clock, audit_stream=audit) as srv:
             honest = encode_login_request(make_login_request(card, GOLDEN_PW, now))
-            for frame, reason in ((honest, "OK"), (honest[:-1], "MALFORMED_FRAME")):
+            wrong_type = bytes([MSG_AUTH_RESPONSE]) + honest[1:]
+            for frame, reason in ((honest, "OK"), (honest[:-1], "MALFORMED_FRAME"), (wrong_type, "BAD_TYPE")):
                 before = len(clock.reads)
                 exchange(srv.address, frame)
                 line = json.loads(audit.getvalue().splitlines()[-1])
@@ -404,33 +405,11 @@ def audited_reasons(audit: io.StringIO) -> list[str]:
     return [json.loads(line)["reason"] for line in audit.getvalue().splitlines()]
 
 
-# Builds an idle server under a descriptor limit 1 above what is open, which its listening
-# socket takes, so its every accept() fails at once with EMFILE. Then prints the CPU
-# seconds it used per wall second over 1 s, and the seconds close() took.
-IDLE_SERVER_OUT_OF_DESCRIPTORS = """
-import io, os, resource, sys, time
-sys.path.insert(0, {src!r})
-from authlab.protocol import ServerSecrets
-from authlab.storage import ServerConfig
-from authlab.wire import AuthServer
-
-config = ServerConfig(ServerSecrets(x=bytes(32), y=bytes(32)), ("127.0.0.1", 0))
-open_fds = len(os.listdir("/proc/self/fd")) - 1  # less the one listdir held
-resource.setrlimit(resource.RLIMIT_NOFILE, (open_fds + 1, resource.getrlimit(resource.RLIMIT_NOFILE)[1]))
-server = AuthServer(config, audit_stream=io.StringIO())
-wall, cpu = time.monotonic(), time.process_time()
-time.sleep(1)
-cpu_per_sec = (time.process_time() - cpu) / (time.monotonic() - wall)
-start = time.monotonic()
-server.close()
-print(cpu_per_sec, time.monotonic() - start)
-"""
-
-# Builds a server under a descriptor limit 2 above what is open: its listening socket takes
-# one, and a silent peer it holds takes the last. A second peer waits in the backlog, so
-# every accept() the server makes while it polls fails at once with EMFILE. Then prints the
-# CPU seconds it used per wall second over 1 s, the seconds close() took, and the audit lines.
-HELD_PEER_OUT_OF_DESCRIPTORS = """
+# Builds a server under a descriptor limit 1 + {held} above what is open. Its listening socket
+# takes one; with held=1 a silent peer it holds takes the last, and a second peer waits in the
+# backlog. Either way every accept() the server makes fails at once with EMFILE. Then prints
+# the CPU seconds it used per wall second over 1 s, the seconds close() took, and the audit lines.
+SERVER_OUT_OF_DESCRIPTORS = """
 import io, os, resource, socket, sys, time
 sys.path.insert(0, {src!r})
 from authlab.protocol import ServerSecrets
@@ -438,15 +417,17 @@ from authlab.storage import ServerConfig
 from authlab.wire import AuthServer
 
 config = ServerConfig(ServerSecrets(x=bytes(32), y=bytes(32)), ("127.0.0.1", 0))
-silent, waiting = socket.socket(), socket.socket()  # the peers' own descriptors, taken first
+peers = [socket.socket() for _ in range(2 * {held})]  # the silent and waiting peers' own descriptors, taken first
 open_fds = len(os.listdir("/proc/self/fd")) - 1  # less the one listdir held
-resource.setrlimit(resource.RLIMIT_NOFILE, (open_fds + 2, resource.getrlimit(resource.RLIMIT_NOFILE)[1]))
+resource.setrlimit(resource.RLIMIT_NOFILE, (open_fds + 1 + {held}, resource.getrlimit(resource.RLIMIT_NOFILE)[1]))
 audit = io.StringIO()
 server = AuthServer(config, audit_stream=audit)
 server.io_timeout = {io_timeout}
-silent.connect(server.address)
-time.sleep(0.1)  # the server has accepted the silent peer and holds it
-waiting.connect(server.address)
+if peers:
+    silent, waiting = peers
+    silent.connect(server.address)
+    time.sleep(0.1)  # the server has accepted the silent peer and holds it
+    waiting.connect(server.address)
 wall, cpu = time.monotonic(), time.process_time()
 time.sleep(1)
 cpu_per_sec = (time.process_time() - cpu) / (time.monotonic() - wall)
@@ -454,6 +435,14 @@ start = time.monotonic()
 server.close()
 print(cpu_per_sec, time.monotonic() - start, len(audit.getvalue().splitlines()))
 """
+
+
+def out_of_descriptors(held: int, io_timeout: float = AuthServer.io_timeout) -> tuple[float, ...]:
+    """Runs SERVER_OUT_OF_DESCRIPTORS in a child interpreter and returns what it printed."""
+    script = SERVER_OUT_OF_DESCRIPTORS.format(src=str(Path(wire.__file__).parent.parent), held=held, io_timeout=io_timeout)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return tuple(map(float, proc.stdout.split()))
 
 
 class TestBoundedServer:
@@ -556,10 +545,7 @@ class TestBoundedServer:
     def test_idle_server_out_of_descriptors_does_not_spin(self):
         # accept() takes a descriptor before it waits; with none to spare it gets EMFILE at
         # once, and before a pause the server retried in a busy loop
-        script = IDLE_SERVER_OUT_OF_DESCRIPTORS.format(src=str(Path(wire.__file__).parent.parent))
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60)
-        assert proc.returncode == 0, proc.stderr
-        cpu_per_sec, close_secs = map(float, proc.stdout.split())
+        cpu_per_sec, close_secs, _ = out_of_descriptors(held=0)
         assert cpu_per_sec < 0.2
         assert close_secs < 0.5
 
@@ -568,10 +554,7 @@ class TestBoundedServer:
         # the waiting peer keeps the listening socket readable, so a poll that met a failed
         # accept() without a pause would return at once, again and again
         io_timeout = 2.0
-        script = HELD_PEER_OUT_OF_DESCRIPTORS.format(src=str(Path(wire.__file__).parent.parent), io_timeout=io_timeout)
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60)
-        assert proc.returncode == 0, proc.stderr
-        cpu_per_sec, close_secs, audit_lines = map(float, proc.stdout.split())
+        cpu_per_sec, close_secs, audit_lines = out_of_descriptors(held=1, io_timeout=io_timeout)
         assert cpu_per_sec < 0.2
         assert close_secs < io_timeout  # the silent peer is cut at its deadline
         assert audit_lines == 1  # the waiting peer is reset unserved
@@ -647,8 +630,8 @@ class TestAcceptRole:
             for _ in range(20):
                 assert client_login(srv.address, card, GOLDEN_PW, fixed_clock(now)).accepted
         assert len(audit.writers) == 20
-        # one thread serves every peer
-        assert len(set(audit.writers)) == 1
+        # the server's loop serves every peer and is the audit stream's only writer
+        assert set(audit.writers) == {"authlab-server"}
 
     def test_bytes_read_before_a_hand_off_count_toward_the_frame(self, live_server, card, now, audit):
         frame = encode_login_request(make_login_request(card, GOLDEN_PW, now))
@@ -751,8 +734,9 @@ class TestClient:
         [
             (encode_frame(MSG_LOGIN_REQUEST, b"\x00" + bytes(32)), BadTypeError),
             (bytes([MSG_AUTH_RESPONSE, 0x02, 0, 0, 0, 33]) + bytes(33), MalformedFrameError),
+            (encode_frame(MSG_AUTH_RESPONSE, b"\x00" + bytes(32))[:20], MalformedFrameError),  # closed mid-frame
         ],
-        ids=["login_request_type", "version_2"],
+        ids=["login_request_type", "version_2", "cut_mid_frame"],
     )
     def test_codec_error_in_reply_passes_through(self, card, now, reply, error):
         with socket.create_server(("127.0.0.1", 0)) as listener:
