@@ -83,7 +83,7 @@ class AttackReport:
 
 def draw_password(rng: random.Random) -> Password:
     """Uniform random length 0..64, arbitrary byte values."""
-    return rng.randbytes(rng.randint(0, MAX_PASSWORD_LEN))
+    return rng.randbytes(rng.randrange(MAX_PASSWORD_LEN + 1))
 
 
 def run_random_password_attack(
@@ -116,12 +116,13 @@ def run_random_password_attack(
 
     if submit is None:
         chain = functools.lru_cache(maxsize=MEMO_SIZE)(_chain)
+        hid = card.hash_id if hash_id is None else hash_id  # submit is only ever given this run's card
 
         def submit(c: SmartcardState, pw: Password, t: int) -> AuthDecision:
-            req = make_login_request(c, pw, t, chain=chain)
+            # arguments run left to right, so the request is built before the receipt time is read
             return authenticate(
-                secrets, req, t_star=clock(), window_secs=window_secs, skew_secs=skew_secs,
-                hash_id=c.hash_id if hash_id is None else hash_id, chain=chain,
+                secrets, make_login_request(c, pw, t, chain=chain), clock(), window_secs,
+                skew_secs=skew_secs, hash_id=hid, chain=chain,
             )
 
     rng = random.Random(seed)

@@ -46,7 +46,9 @@ class Reason(Enum):
         return self is _OK
 
 
-_OK = Reason.OK  # a module global is cheaper to read than an Enum member, and accepted runs per trial
+# module globals are cheaper to read than Enum members, and accepted and authenticate run per trial
+_OK = Reason.OK
+_CHECK_FAILED = Reason.CHECK_FAILED
 
 
 @dataclass(frozen=True)
@@ -94,7 +96,7 @@ class SmartcardState:
         object.__setattr__(self, "n_y", int.from_bytes(self.n_i, "big") ^ int.from_bytes(self.y, "big"))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class LoginRequest:
     """The login tuple (cid, n_i, c_i, t) sent over the insecure channel."""
 
@@ -103,15 +105,23 @@ class LoginRequest:
     c_i: bytes
     t: int
 
-    def __post_init__(self) -> None:
-        if not 0 < len(self.cid) == len(self.n_i) == len(self.c_i):
-            widths = {len(f) * 8 for f in (self.cid, self.n_i, self.c_i)}
+    def __init__(self, cid: bytes, n_i: bytes, c_i: bytes, t: int) -> None:
+        if not 0 < len(cid) == len(n_i) == len(c_i):
+            widths = {len(f) * 8 for f in (cid, n_i, c_i)}
             raise ValueError(f"request fields must be non-empty and share one width, got {sorted(widths)}")
-        if not 0 <= self.t <= MAX_TIMESTAMP:
-            raise ValueError(f"timestamp out of 64-bit range: {self.t}")
+        if not 0 <= t <= MAX_TIMESTAMP:
+            raise ValueError(f"timestamp out of 64-bit range: {t}")
+        # a frozen class's __init__ must bypass its __setattr__; a slot's __set__ costs half of object.__setattr__
+        _set_cid(self, cid)
+        _set_n_i(self, n_i)
+        _set_c_i(self, c_i)
+        _set_t(self, t)
 
 
-@dataclass(frozen=True, slots=True)
+_set_cid, _set_n_i, _set_c_i, _set_t = (LoginRequest.__dict__[f].__set__ for f in LoginRequest.__match_args__)
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class AuthDecision:
     """Outcome of authentication: the reason, which is OK exactly when accepted.
 
@@ -123,9 +133,16 @@ class AuthDecision:
     reason: Reason
     recovered_hpw: bytes | None = None
 
+    def __init__(self, reason: Reason, recovered_hpw: bytes | None = None) -> None:
+        _set_reason(self, reason)
+        _set_recovered_hpw(self, recovered_hpw)
+
     @property
     def accepted(self) -> bool:
         return self.reason.accepted
+
+
+_set_reason, _set_recovered_hpw = (AuthDecision.__dict__[f].__set__ for f in AuthDecision.__match_args__)
 
 
 def register_user(pw: Password, secrets: ServerSecrets, hash_id: str = DEFAULT_HASH_ID) -> bytes:
@@ -227,7 +244,7 @@ def authenticate(
     a, c = chain(int.from_bytes(req.n_i, "big") ^ secrets.y_int, req.t, n, new)
     ok = hmac.compare_digest(c.to_bytes(n, "big"), req.c_i)
     recovered_hpw = int.from_bytes(req.cid, "big") ^ a
-    return AuthDecision(Reason.OK if ok else Reason.CHECK_FAILED, recovered_hpw.to_bytes(n, "big"))
+    return AuthDecision(_OK if ok else _CHECK_FAILED, recovered_hpw.to_bytes(n, "big"))
 
 
 def change_password(card: SmartcardState, typed_old_pw: Password, new_pw: Password) -> SmartcardState:

@@ -7,6 +7,7 @@ name and the width in bits; the defaults are SHA-256 at 256 bits.
 """
 
 import hashlib
+import random
 
 
 def sha(data: bytes, hash_id: str = "sha256") -> int:
@@ -54,3 +55,8 @@ def login_frame(cid: int, n_i: int, c_i: int, t: int, width: int = 256) -> bytes
     payload = b"".join(v.to_bytes(width // 8, "big") for v in (cid, n_i, c_i))
     payload += t.to_bytes(8, "big")
     return bytes([0x01, 0x01]) + len(payload).to_bytes(4, "big") + payload
+
+
+def draw_password(rng: random.Random) -> bytes:
+    """A random attack password: length 0..64 inclusive, then that many random bytes."""
+    return rng.randbytes(rng.randint(0, 64))

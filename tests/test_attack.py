@@ -5,6 +5,7 @@ from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
+import oracle
 from conftest import as_bits, as_int, make_strawman, random_bits, recording_submit
 from authlab import attack, protocol
 from authlab.attack import Scenario, run_random_password_attack
@@ -52,6 +53,12 @@ class TestRandomPasswordAttack:
         assert [(pw, t) for pw, t, _ in calls] == [(b"", now)]
         assert report.trial_log[0].accepted
         assert report == run_random_password_attack(card, server_secrets, 1, EMPTY_FIRST_SEED, fixed_clock(now))
+
+    # a report is reproducible from (seed, clock) only while the password stream stays put
+    @pytest.mark.parametrize("seed", [0, 21, EMPTY_FIRST_SEED, (1 << 80) + 3])
+    def test_password_stream_matches_reference_draw(self, seed):
+        ours, ref = random.Random(seed), random.Random(seed)
+        assert [attack.draw_password(ours) for _ in range(20_000)] == [oracle.draw_password(ref) for _ in range(20_000)]
 
     def test_same_seed_reproduces_report(self, card, server_secrets, now):
         a = run_random_password_attack(card, server_secrets, 50, 21, fixed_clock(now))

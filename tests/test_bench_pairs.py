@@ -1,6 +1,7 @@
 import importlib
 import importlib.util
 import json
+import os
 import platform
 import ssl
 from pathlib import Path
@@ -117,6 +118,8 @@ def test_summarises_every_pair(bench_pairs, tool, monkeypatch, capsys):
     assert doc["env"]["python"] == platform.python_version()
     assert doc["env"]["implementation"] == platform.python_implementation()
     assert doc["env"]["openssl"] == ssl.OPENSSL_VERSION
+    # whether the interpreter writes bytecode, since without it every authlab serve compiles src/ again
+    assert doc["env"]["dont_write_bytecode"] == ("PYTHONDONTWRITEBYTECODE" in os.environ)
     # the host's load averages once before the first run and once after the last pair, before the traced runs
     assert loads == [0, 20] and len(runs) == 22
     assert doc["env"]["loadavg"] == {"start": [0, 0.5, 0.25], "end": [20, 0.5, 0.25]}

@@ -1,8 +1,11 @@
+import copy
 import functools
 import hashlib
+import inspect
+import pickle
 import random
 import sys
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
 
@@ -157,9 +160,13 @@ class TestRecords:
     def test_assignment_raises_frozen_instance_error(self, card, now):
         req = make_login_request(card, GOLDEN_PW, now)
         decision = AuthDecision(Reason.STALE_TIMESTAMP)
-        for record, field in ((req, "t"), (decision, "reason")):
-            with pytest.raises(FrozenInstanceError):
-                setattr(record, field, 0)
+        accepted = AuthDecision(Reason.OK, hash_bytes(b"pw"))
+        for record, field in ((req, "t"), (decision, "reason"), (accepted, "recovered_hpw")):
+            # and so do its copies, which equal it and keep its type
+            for same in (record, copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+                assert same == record and type(same) is type(record)
+                with pytest.raises(FrozenInstanceError):
+                    setattr(same, field, 0)
 
     def test_replace_builds_a_checked_copy(self, card, now):
         req = make_login_request(card, GOLDEN_PW, now)
@@ -172,6 +179,9 @@ class TestRecords:
         assert replace(rejected, reason=Reason.STALE_TIMESTAMP).reason is Reason.STALE_TIMESTAMP
         with pytest.raises(TypeError, match="accepted"):  # not a field: it follows from the reason
             replace(rejected, accepted=True)
+        # replace passes every field as a keyword, so each record's __init__ takes exactly its fields, in order
+        for cls in (LoginRequest, AuthDecision):
+            assert list(inspect.signature(cls).parameters) == [f.name for f in fields(cls)]
 
     def test_stored_ints_follow_the_fields(self, card, server_secrets):
         assert card.n_y == as_int(card.n_i) ^ as_int(card.y)

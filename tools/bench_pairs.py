@@ -144,6 +144,7 @@ def main(argv: list[str] | None = None) -> int:
             "python": platform.python_version(),
             "implementation": platform.python_implementation(),
             "openssl": ssl.OPENSSL_VERSION,
+            "dont_write_bytecode": "PYTHONDONTWRITEBYTECODE" in os.environ,
             "nproc": os.cpu_count(),
             "parent_sha": shas["parent"],
             "change_sha": shas["change"],
