@@ -11,7 +11,9 @@ BENCHMARK.json. `env` names the build: the interpreter, the OpenSSL it
 links, and for each side the sha256 constructor that side's `bits.hasher`
 resolves (null where its `authlab.bits` cannot be imported). It also holds
 the host's 1, 5 and 15 minute load averages at the start and at the end of
-the pairs, since other load on the host moves every timing. For each metric
+the pairs, since other load on the host moves every timing, and whether
+PYTHONDONTWRITEBYTECODE is set, since then every `authlab serve` compiles
+src/ again, which moves the remote workloads' start-up peak RSS. For each metric
 and side the file holds every run, the median and the quartiles; for each
 metric, the change's median relative to the parent's, the parent's
 IQR/median, the number of pairs in which the change reads better (ties
