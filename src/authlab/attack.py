@@ -1,13 +1,9 @@
-"""Batch attack trials: log in with random passwords, on real or cloned cards.
+"""Batch attack trials: log in with random passwords on one card.
 
-Each scenario draws seeded random passwords, submits a login per trial, and
+The runner draws seeded random passwords, submits a login per trial, and
 aggregates an exact acceptance rate. Against the scheme as specified the rate
 is 1.0 — the server check holds for every password — which is precisely the
 vulnerability this harness exists to demonstrate.
-
-Both scenarios run the same trials: the runner only reads the card, so a
-cloned card is indistinguishable from the victim's and the scenario is just
-the report's tag.
 """
 
 from __future__ import annotations
@@ -16,7 +12,6 @@ import functools
 import json
 import random
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Callable
 
 from authlab.clock import Clock
@@ -45,11 +40,6 @@ MEMO_SIZE = 2
 Submit = Callable[[SmartcardState, Password, int], AuthDecision]
 
 
-class Scenario(Enum):
-    RANDOM_PASSWORD = "RANDOM_PASSWORD"
-    CLONED_CARD = "CLONED_CARD"
-
-
 @dataclass(frozen=True)
 class AttackReport:
     """Aggregate of one attack run, reproducible from (seed, clock).
@@ -58,7 +48,6 @@ class AttackReport:
     back the password and timestamp a trial used, so the log does not keep them.
     """
 
-    scenario: Scenario
     trials: int
     accepted: int
     seed: int
@@ -72,7 +61,7 @@ class AttackReport:
         """Single-line JSON with exactly the report's aggregate keys."""
         return json.dumps(
             {
-                "scenario": self.scenario.value,
+                "scenario": "RANDOM_PASSWORD",  # a stable key, naming the one attack this runner makes
                 "trials": self.trials,
                 "accepted": self.accepted,
                 "acceptance_rate": self.acceptance_rate,
@@ -97,7 +86,6 @@ def run_random_password_attack(
     skew_secs: int = DEFAULT_SKEW_SECS,
     hash_id: str | None = None,
     submit: Submit | None = None,
-    scenario: Scenario = Scenario.RANDOM_PASSWORD,
 ) -> AttackReport:
     """Attempt `trials` logins with fresh random passwords instead of the real one.
 
@@ -105,7 +93,7 @@ def run_random_password_attack(
     every timestamp from the injected clock. `submit` defaults to building the
     request and authenticating in-process with a fresh receipt time, under
     `window_secs`, `skew_secs` and `hash_id` (the card's when None). The card
-    is never modified; `scenario` only tags the report.
+    is never modified.
 
     The default submit hashes with a memo of _chain made for this run, of
     MEMO_SIZE entries. A clock gives whole seconds, so every trial after the
@@ -128,5 +116,5 @@ def run_random_password_attack(
     rng = random.Random(seed)
     # arguments run left to right, so each trial draws its password before it reads the clock
     log = tuple(submit(card, draw_password(rng), clock()).reason for _ in range(trials))
-    return AttackReport(scenario=scenario, trials=trials, accepted=log.count(Reason.OK), seed=seed, trial_log=log)
+    return AttackReport(trials=trials, accepted=log.count(Reason.OK), seed=seed, trial_log=log)
 

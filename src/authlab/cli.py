@@ -1,5 +1,5 @@
 """Command-line front end: issue cards, run the server, log in, change
-passwords, and run the attack demonstrations.
+passwords, and run the random-password attack.
 
 stdout carries machine-readable JSON only; every human-facing diagnostic goes
 to stderr. Exit codes: 0 success/accepted, 1 rejected (login) or vulnerability
@@ -17,7 +17,7 @@ import sys
 import time
 from contextlib import nullcontext
 
-from authlab.attack import Scenario, run_random_password_attack
+from authlab.attack import run_random_password_attack
 from authlab.bits import parse_digits
 from authlab.clock import Clock, clock_from_env, fixed_clock
 from authlab.protocol import AuthDecision, change_password, issue_card
@@ -170,11 +170,10 @@ def cmd_attack(args: argparse.Namespace, clock: Clock) -> int:
         def submit(c, pw, t):
             return client_login(address, c, pw, fixed_clock(t))  # the runner's one reading for the trial
 
-    scenario = Scenario[args.scenario.upper().replace("-", "_")]
     try:
         report = run_random_password_attack(
             card, config.secrets, args.trials, args.seed, clock, window_secs=config.window_secs,
-            skew_secs=config.skew_secs, hash_id=config.hash_id, submit=submit, scenario=scenario,
+            skew_secs=config.skew_secs, hash_id=config.hash_id, submit=submit,
         )
     except WireError as exc:
         _diag(f"remote attack failed: {exc}")
@@ -215,14 +214,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--new-password", help=pw_help)
     p.set_defaults(func=cmd_change_password)
 
-    p = sub.add_parser("attack", help="run an attack scenario and report the acceptance rate")
+    p = sub.add_parser("attack", help="run the random-password attack and report the acceptance rate")
     p.add_argument("--card", required=True, help="card file path")
     p.add_argument("--config", required=True, help="server config JSON path")
-    p.add_argument(
-        "--scenario",
-        choices=["random-password", "cloned-card"],
-        default="random-password",
-    )
     p.add_argument("--trials", type=_positive_int, default=1000)
     p.add_argument("--seed", type=_digits, default=0)
     p.add_argument(

@@ -5,13 +5,14 @@ Card file, format_version 1::
     {"format_version": 1, "hash_id": "sha256", "k": 256,
      "n_i": "<64 hex chars>", "y": "<64 hex chars>"}
 
-Server config::
+Server config, of which only "x_hex" and "y_hex" are required::
 
     {"x_hex": "...", "y_hex": "...", "bind_address": "127.0.0.1:7878",
      "window_secs": 60, "skew_secs": 5}
 
-plus optional "hash_id" (default sha256) and "audit_path" (default null,
-meaning audit lines go to stderr). Hex fields are human-inspectable and
+The optional keys and their defaults: "bind_address" 127.0.0.1:0 (any free
+port), "window_secs" 60, "skew_secs" 5, "hash_id" sha256 and "audit_path"
+null (audit lines go to stderr). Hex fields are human-inspectable and
 diff-able on purpose.
 """
 

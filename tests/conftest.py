@@ -1,10 +1,20 @@
 import random
 import socket
+from dataclasses import replace
 
 import pytest
 
 from authlab.bits import hash_bytes
-from authlab.protocol import AuthDecision, Reason, ServerSecrets, authenticate, issue_card, make_login_request
+from authlab.protocol import (
+    AuthDecision,
+    Reason,
+    ServerSecrets,
+    SmartcardState,
+    authenticate,
+    issue_card,
+    make_login_request,
+)
+from authlab.wire import decode_login_request
 
 # the fixed parameter set every golden vector in the suite was frozen from
 GOLDEN_PW = b"alice-pw"
@@ -50,6 +60,13 @@ def card(server_secrets):
 @pytest.fixture
 def now() -> int:
     return GOLDEN_T
+
+
+def mint_card(captured_frame: bytes, own_card: SmartcardState) -> SmartcardState:
+    """The victim's card as any card holder builds it, without the victim's card
+    file: n_i from one captured login frame (it travels in the clear), and y,
+    which every card carries, from the holder's own card."""
+    return replace(own_card, n_i=decode_login_request(captured_frame).n_i)
 
 
 def make_strawman(secrets: ServerSecrets, real_pw: bytes):

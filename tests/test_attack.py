@@ -6,12 +6,13 @@ from dataclasses import FrozenInstanceError, replace
 import pytest
 
 import oracle
-from conftest import as_bits, as_int, make_strawman, random_bits, recording_submit
+from conftest import GOLDEN_PW, as_bits, as_int, make_strawman, mint_card, random_bits, recording_submit
 from authlab import attack, protocol
-from authlab.attack import Scenario, run_random_password_attack
+from authlab.attack import run_random_password_attack
 from authlab.bits import hash_bytes
 from authlab.clock import fixed_clock
 from authlab.protocol import Reason, ServerSecrets, _chain, _h, authenticate, issue_card, make_login_request
+from authlab.wire import encode_login_request
 
 # Random.Random(139) draws an empty password first; frozen for the empty-trial test
 EMPTY_FIRST_SEED = 139
@@ -42,7 +43,7 @@ class TestRandomPasswordAttack:
         report = run_random_password_attack(card, server_secrets, 1000, 7, fixed_clock(now))
         assert report.acceptance_rate == 1.0
         assert report.accepted == report.trials == 1000
-        assert report.scenario is Scenario.RANDOM_PASSWORD
+        assert json.loads(report.to_json())["scenario"] == "RANDOM_PASSWORD"
 
     def test_empty_password_accepted(self, card, server_secrets, now):
         calls = []
@@ -152,18 +153,29 @@ class TestRandomPasswordAttack:
 
 
 class TestClonedCardAttack:
+    """Mallory, who holds a card of their own, mints the victim's card from one
+    captured login and runs the random-password attack on it."""
+
+    @staticmethod
+    def minted(victim, secrets, now):
+        captured = encode_login_request(make_login_request(victim, GOLDEN_PW, now))
+        return mint_card(captured, issue_card(b"mallory-pw", secrets, victim.hash_id))
+
     def test_full_acceptance_rate_and_tag(self, card, server_secrets, now):
-        report = run_random_password_attack(
-            card, server_secrets, 1000, 9, fixed_clock(now), scenario=Scenario.CLONED_CARD
-        )
-        assert report.acceptance_rate == 1.0
-        assert report.scenario is Scenario.CLONED_CARD
+        wide = ServerSecrets(*(hash_bytes(label, "sha512") for label in (b"server-x", b"server-y")))
+        for victim, secrets in ((card, server_secrets), (issue_card(GOLDEN_PW, wide, "sha512"), wide)):
+            minted = self.minted(victim, secrets, now)
+            assert minted == victim and minted is not victim
+            report = run_random_password_attack(minted, secrets, 1000, 9, fixed_clock(now))
+            assert report.acceptance_rate == 1.0
+            assert report.accepted == report.trials == 1000
+            # the same trials as on the victim's own card, under the report's one tag
+            assert report == run_random_password_attack(victim, secrets, 1000, 9, fixed_clock(now))
+            assert json.loads(report.to_json())["scenario"] == "RANDOM_PASSWORD"
 
     def test_victim_unaffected(self, card, server_secrets, now):
         before = replace(card)
-        run_random_password_attack(
-            card, server_secrets, 100, 5, fixed_clock(now), scenario=Scenario.CLONED_CARD
-        )
+        run_random_password_attack(self.minted(card, server_secrets, now), server_secrets, 100, 5, fixed_clock(now))
         assert card == before
         honest = make_login_request(card, b"alice-pw", now)
         assert authenticate(server_secrets, honest, t_star=now).accepted

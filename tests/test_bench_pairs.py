@@ -34,13 +34,14 @@ def hasher(hash_id):
 """
 
 # Stands in for authbench/run.py: prints a result line, except on FAIL_SEED,
-# where it exits 1 with a message on stderr and nothing on stdout. Most metrics
+# where it prints FAIL_STDOUT instead and exits 1 with a message on stderr. Most metrics
 # read 100 + seed at the parent, and the change adds an offset; latency_p99_us
 # reads 1 on seeds 1-5 and 9 on 6-10 at the parent, and 0.5 at the change.
 FAKE_RUN = """\
 import json, os, sys
 args = dict(zip(sys.argv[1::2], sys.argv[2::2]))
 if args["--seed"] == "{fail_seed}":
+    print({fail_stdout!r})
     sys.exit("authbench: gate failed on seed " + args["--seed"])
 change = os.path.basename(os.getcwd()) == "change"
 seed = int(args["--seed"])
@@ -62,14 +63,15 @@ def tool():
 
 @pytest.fixture
 def bench_pairs(tool, monkeypatch, tmp_path):
-    """Runs the tool on fake checkouts whose run fails on fail_seed; returns its exit code and the JSON it wrote."""
+    """Runs the tool on fake checkouts whose run prints fail_stdout, not a result, on fail_seed;
+    returns its exit code and the JSON it wrote."""
 
-    def run(fail_seed):
+    def run(fail_seed, fail_stdout=""):
         def fake_export(rev, dest):
             (dest / "authbench").mkdir(parents=True)
             (dest / "src" / "authlab").mkdir(parents=True)
             (dest / "BENCHMARK.json").write_text(json.dumps(BENCHMARK))
-            (dest / "authbench" / "run.py").write_text(FAKE_RUN.format(fail_seed=fail_seed))
+            (dest / "authbench" / "run.py").write_text(FAKE_RUN.format(fail_seed=fail_seed, fail_stdout=fail_stdout))
             (dest / "src" / "authlab" / "__init__.py").write_text("")
             (dest / "src" / "authlab" / "bits.py").write_text(FAKE_BITS.format(side=dest.name))
             return rev
@@ -142,14 +144,17 @@ def test_names_the_constructor_this_tree_resolves(tool, tmp_path):
 
 
 def test_run_without_result_keeps_the_runs_so_far(bench_pairs, capsys):
-    code, doc = bench_pairs(fail_seed=2)  # even, so the change runs first and fails before the parent's run
-    assert code == 1
-    assert doc["env"]["parent_sha"] == "p" and doc["env"]["change_sha"] == "c"
-    failed = doc["failed_run"]
-    assert failed["side"] == "change" and failed["exit_code"] == 1
-    assert "--seed 2" in failed["command"]
-    assert "gate failed on seed 2" in failed["stderr_tail"]
-    runs = doc["runs"]["w"]
-    assert [r["seed"] for r in runs["parent"]] == [1] and [r["seed"] for r in runs["change"]] == [1]
-    assert runs["change"][0]["result"]["metrics"]["ops_per_s"]["value"] == 111.0
-    assert "printed no result" in capsys.readouterr().err
+    # an empty stdout, and a last stdout line that is not JSON
+    for fail_stdout in ("", "authbench: not a result line"):
+        code, doc = bench_pairs(fail_seed=2, fail_stdout=fail_stdout)  # even: the change runs first and fails
+        assert code == 1
+        assert doc["env"]["parent_sha"] == "p" and doc["env"]["change_sha"] == "c"
+        failed = doc["failed_run"]
+        assert failed["side"] == "change" and failed["exit_code"] == 1
+        assert "--seed 2" in failed["command"]
+        assert failed["stdout_tail"] == fail_stdout + "\n"
+        assert "gate failed on seed 2" in failed["stderr_tail"]
+        runs = doc["runs"]["w"]
+        assert [r["seed"] for r in runs["parent"]] == [1] and [r["seed"] for r in runs["change"]] == [1]
+        assert runs["change"][0]["result"]["metrics"]["ops_per_s"]["value"] == 111.0
+        assert "printed no result" in capsys.readouterr().err

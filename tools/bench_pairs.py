@@ -24,9 +24,9 @@ worse by more than the metric's bound; else `unresolved` when the parent's
 IQR/median exceeds the bound and not every change run beats every parent
 run; else `within_bound`. Stdlib only; runs one benchmark process at a time.
 
-A run that prints no result line stops the tool: it writes the runs made so
-far, that run's command, exit code and stderr tail, to the output file and
-exits 1.
+A run that prints no result line (its last stdout line is missing or not
+JSON) stops the tool: it writes the runs made so far, and that run's command,
+exit code, stdout tail and stderr tail, to the output file and exits 1.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ SIDES = ("parent", "change")
 QUARTILES = "statistics.quantiles(values, n=4, method='inclusive')"
 SEEDS = range(1, 11)  # ten pairs
 TRACE_SEED = 11
-STDERR_TAIL = 4000  # characters of a failed run's stderr kept in the output file
+TAIL = 4000  # characters of a failed run's stdout and of its stderr kept in the output file
 
 
 # Prints the module and name of the sha256 constructor that bits.hasher resolves in the checkout it runs in.
@@ -85,10 +85,11 @@ def bench(checkout: Path, workload: str, seed: int, seconds: int, trace: int) ->
            "--seconds", str(seconds), "--trace", str(trace)]
     done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     lines = done.stdout.strip().splitlines()
-    if not lines:
+    try:
+        return done.returncode, json.loads(lines[-1])
+    except (IndexError, json.JSONDecodeError):  # no stdout, or a last line that is not JSON
         raise NoResult({"command": " ".join(cmd), "side": checkout.name, "exit_code": done.returncode,
-                        "stderr_tail": done.stderr[-STDERR_TAIL:]})
-    return done.returncode, json.loads(lines[-1])
+                        "stdout_tail": done.stdout[-TAIL:], "stderr_tail": done.stderr[-TAIL:]}) from None
 
 
 def summary(values: list[float]) -> dict:
