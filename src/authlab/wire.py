@@ -200,16 +200,15 @@ class AuthServer:
     it waits in accept() itself and reads the new peer without blocking: a
     peer whose frame, or close, is already in is answered at once. A peer
     that makes it wait is held, and the thread polls the held peers together
-    with the listening socket; while handler_cap peers are held, it leaves
-    further peers in the listen backlog. Each held peer is read as its bytes
-    arrive and finished once: it has io_timeout seconds from accept() in
-    total to deliver its frame. Authentication is pure, and this thread is the audit
-    stream's only writer. Close the server, or use it as a context manager,
-    for an orderly shutdown.
+    with the listening socket. Only the descriptor limit bounds the peers
+    held: while accept() finds none free, new peers wait in the listen backlog.
+    Each held peer is read as its bytes arrive and finished once: it has
+    io_timeout seconds from accept() in total to deliver its frame.
+    Authentication is pure, and this thread is the audit stream's only writer.
+    Close the server, or use it as a context manager, for an orderly shutdown.
     """
 
     io_timeout = 5.0
-    handler_cap = 8
 
     def __init__(
         self, config: ServerConfig, clock: Clock = system_clock, *, audit_stream: IO[str] | None = None
@@ -218,8 +217,8 @@ class AuthServer:
         self.clock = clock
         self._audit_stream = audit_stream if audit_stream is not None else sys.stderr
         self._closing = threading.Event()
-        # a burst of a few dozen connects meeting a full set of held peers must wait in
-        # the backlog, not overflow it: with a backlog of 5, peers were reset
+        # a burst of a few dozen connects, or peers that arrive while accept() is out of
+        # descriptors, must wait in the backlog, not overflow it: with a backlog of 5, peers were reset
         self._socket = socket.create_server(config.bind_address, family=_family(config.bind_address[0]), backlog=128)
         # actually bound (host, port); the port is resolved even when bound to 0
         self.address: tuple[str, int] = self._socket.getsockname()[:2]
@@ -254,7 +253,7 @@ class AuthServer:
             poller = select.poll()
             for fd in held:
                 poller.register(fd, select.POLLIN)
-            if len(held) < self.handler_cap and not self._closing.is_set():
+            if not self._closing.is_set():
                 poller.register(listener, select.POLLIN)
             wake = min(deadline for _, _, deadline, _ in held.values())
             ready = {fd for fd, _ in poller.poll(max(wake - time.monotonic(), 0) * 1000)}

@@ -144,8 +144,8 @@ def test_names_the_constructor_this_tree_resolves(tool, tmp_path):
 
 
 def test_run_without_result_keeps_the_runs_so_far(bench_pairs, capsys):
-    # an empty stdout, and a last stdout line that is not JSON
-    for fail_stdout in ("", "authbench: not a result line"):
+    # an empty stdout, a last stdout line that is not JSON, and JSON that is not a result
+    for fail_stdout in ("", "authbench: not a result line", '{"x": 1}', "[1]"):
         code, doc = bench_pairs(fail_seed=2, fail_stdout=fail_stdout)  # even: the change runs first and fails
         assert code == 1
         assert doc["env"]["parent_sha"] == "p" and doc["env"]["change_sha"] == "c"

@@ -24,9 +24,10 @@ worse by more than the metric's bound; else `unresolved` when the parent's
 IQR/median exceeds the bound and not every change run beats every parent
 run; else `within_bound`. Stdlib only; runs one benchmark process at a time.
 
-A run that prints no result line (its last stdout line is missing or not
-JSON) stops the tool: it writes the runs made so far, and that run's command,
-exit code, stdout tail and stderr tail, to the output file and exits 1.
+A run that prints no result line (its last stdout line is missing, not
+JSON, or not an object with `metrics`, `failed` and `attempted`) stops the
+tool: it writes the runs made so far, and that run's command, exit code,
+stdout tail and stderr tail, to the output file and exits 1.
 """
 
 from __future__ import annotations
@@ -86,10 +87,14 @@ def bench(checkout: Path, workload: str, seed: int, seconds: int, trace: int) ->
     done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     lines = done.stdout.strip().splitlines()
     try:
-        return done.returncode, json.loads(lines[-1])
+        result = json.loads(lines[-1])
     except (IndexError, json.JSONDecodeError):  # no stdout, or a last line that is not JSON
+        result = None
+    # main reads these keys of every result
+    if not (isinstance(result, dict) and {"metrics", "failed", "attempted"} <= result.keys()):
         raise NoResult({"command": " ".join(cmd), "side": checkout.name, "exit_code": done.returncode,
-                        "stdout_tail": done.stdout[-TAIL:], "stderr_tail": done.stderr[-TAIL:]}) from None
+                        "stdout_tail": done.stdout[-TAIL:], "stderr_tail": done.stderr[-TAIL:]})
+    return done.returncode, result
 
 
 def summary(values: list[float]) -> dict:
