@@ -78,7 +78,10 @@ class AttackReport:
 
 def draw_password(rng: random.Random) -> Password:
     """Uniform random length 0..64, arbitrary byte values."""
-    return rng.randbytes(rng.randrange(MAX_PASSWORD_LEN + 1))
+    n = rng.getrandbits(7)
+    while n > MAX_PASSWORD_LEN:  # the draws randrange(65) makes, without its Python frames
+        n = rng.getrandbits(7)
+    return rng.randbytes(n)
 
 
 def run_random_password_attack(

@@ -170,20 +170,17 @@ def _digest(data: bytes, new: Callable[[bytes], Any]) -> int:
     return int.from_bytes(new(data).digest(), "big")
 
 
-def _h(v: int, n: int, new: Callable[[bytes], Any]) -> int:
-    """h() of the n-byte big-endian value v, as an int; new gives n-byte digests."""
-    return int.from_bytes(new(v.to_bytes(n, "big")).digest(), "big")
-
-
-def _chain(n_y: int, t: int, n: int, new: Callable[[bytes], Any]) -> tuple[int, int]:
-    """The hashes a login takes from n_i xor y and t: a = h(n_y xor t) and
-    c = h(t xor n_y xor h(a)), both sides' blind and check value."""
-    a = _h(n_y ^ t, n, new)
-    return a, _h(t ^ n_y ^ _h(a, n, new), n, new)
+def _chain(n_y: int, t: int, n: int, new: Callable[[bytes], Any]) -> tuple[int, bytes]:
+    """The hashes a login takes from n_i xor y and t: a = h(n_y xor t) as an int, to XOR
+    with h(pw), and c = h(t xor n_y xor h(a)) as its digest, to send or compare. A value
+    hashes as its n-byte big-endian form, which for a is its n-byte digest from new."""
+    a = new((n_y ^ t).to_bytes(n, "big")).digest()
+    h_a = int.from_bytes(new(a).digest(), "big")
+    return int.from_bytes(a, "big"), new((t ^ n_y ^ h_a).to_bytes(n, "big")).digest()
 
 
 # (n_y, t, n, new) -> (a, c), as _chain computes them
-Chain = Callable[[int, int, int, Callable[[bytes], Any]], tuple[int, int]]
+Chain = Callable[[int, int, int, Callable[[bytes], Any]], tuple[int, bytes]]
 
 
 def make_login_request(card: SmartcardState, typed_pw: Password, t: int, *, chain: Chain = _chain) -> LoginRequest:
@@ -202,7 +199,7 @@ def make_login_request(card: SmartcardState, typed_pw: Password, t: int, *, chai
     new, n = hasher(card.hash_id)  # the card checked that its hash gives k bits
     a, c_i = chain(card.n_y, t, n, new)
     cid = _digest(typed_pw, new) ^ a
-    return LoginRequest(cid.to_bytes(n, "big"), card.n_i, c_i.to_bytes(n, "big"), t)
+    return LoginRequest(cid.to_bytes(n, "big"), card.n_i, c_i, t)
 
 
 def authenticate(
@@ -242,7 +239,7 @@ def authenticate(
     if digest_size != n:
         raise ValueError(f"width mismatch: {hash_id} gives {digest_size * 8} bits, not {n * 8}")
     a, c = chain(int.from_bytes(req.n_i, "big") ^ secrets.y_int, req.t, n, new)
-    ok = hmac.compare_digest(c.to_bytes(n, "big"), req.c_i)
+    ok = hmac.compare_digest(c, req.c_i)
     recovered_hpw = int.from_bytes(req.cid, "big") ^ a
     return AuthDecision(_OK if ok else _CHECK_FAILED, recovered_hpw.to_bytes(n, "big"))
 

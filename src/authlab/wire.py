@@ -360,7 +360,7 @@ def client_login(
             conn.settimeout(timeout)
             conn.connect(address)
             deadline = time.monotonic() + timeout  # for the whole exchange, as on the server
-            conn.sendall(encode_login_request(req))
+            conn.sendall(encode_login_request(req), _MSG_MORE)  # held back for the FIN: one segment
             conn.shutdown(socket.SHUT_WR)
             frame = _recv_frame(conn, deadline)
     except OSError as exc:

@@ -1,6 +1,7 @@
 import json
 import random
 import tracemalloc
+from collections import Counter
 from dataclasses import FrozenInstanceError, replace
 
 import pytest
@@ -9,9 +10,9 @@ import oracle
 from conftest import GOLDEN_PW, as_bits, as_int, make_strawman, mint_card, random_bits, recording_submit
 from authlab import attack, protocol
 from authlab.attack import run_random_password_attack
-from authlab.bits import hash_bytes
+from authlab.bits import hash_bytes, hash_width
 from authlab.clock import fixed_clock
-from authlab.protocol import Reason, ServerSecrets, _chain, _h, authenticate, issue_card, make_login_request
+from authlab.protocol import Reason, ServerSecrets, _chain, authenticate, issue_card, make_login_request
 from authlab.wire import encode_login_request
 
 # Random.Random(139) draws an empty password first; frozen for the empty-trial test
@@ -86,16 +87,24 @@ class TestRandomPasswordAttack:
 
     def test_each_clock_second_hashes_its_three_values_once(self, card, server_secrets, now, monkeypatch):
         hashed = []
+        real_new, n = protocol.hasher(card.hash_id)
 
-        def counting_h(v, n, new):
-            hashed.append(v)
-            return _h(v, n, new)
+        def counting_new(data):
+            hashed.append(data)
+            return real_new(data)
 
-        monkeypatch.setattr(protocol, "_h", counting_h)
+        # one constructor for the whole run, as the memo's key holds it
+        monkeypatch.setattr(protocol, "hasher", lambda hash_id: (counting_new, n))
         report = run_random_password_attack(card, server_secrets, 200, 5, self.four_second_clock(now))
         assert report.accepted == 200
-        # the card's y is the server's, so both sides hash the same three values
-        assert len(hashed) == len(set(hashed)) == 3 * 4
+        stream = random.Random(5)
+        chained = list((Counter(hashed) - Counter(oracle.draw_password(stream) for _ in range(200))).elements())
+        # one h(pw) per trial; the card's y is the server's, so both sides hash the same three values
+        assert len(hashed) == 200 + 3 * 4
+        assert len(chained) == len(set(chained)) == 3 * 4
+        n_y = as_int(card.n_i) ^ as_int(server_secrets.y)
+        a = {t: oracle.sha_int(n_y ^ t) for t in range(now, now + 4)}
+        assert set(chained) == {as_bits(v) for t in a for v in (n_y ^ t, a[t], t ^ n_y ^ oracle.sha_int(a[t]))}
 
     def test_a_card_of_another_y_keeps_both_chains_of_a_second(self, server_secrets, now, monkeypatch):
         chained = []
@@ -111,6 +120,32 @@ class TestRandomPasswordAttack:
         assert report.accepted == 0
         # the card's chain and the server's differ, and each is computed once per second
         assert len(chained) == len(set(chained)) == 2 * 4
+
+    @pytest.mark.parametrize("hash_id", ["sha256", "sha512"])
+    def test_default_submit_builds_the_oracle_requests(self, hash_id, now, monkeypatch):
+        built, chains = [], set()
+
+        def recording(card, pw, t, *, chain):
+            built.append(make_login_request(card, pw, t, chain=chain))
+            chains.add(chain)
+            return built[-1]
+
+        monkeypatch.setattr(attack, "make_login_request", recording)
+        width = hash_width(hash_id)
+        rng = random.Random(23)
+        secrets = ServerSecrets(x=random_bits(rng, width), y=random_bits(rng, width))
+        card = issue_card(b"pw", secrets, hash_id)
+        report = run_random_password_attack(card, secrets, 200, 9, self.four_second_clock(now))
+        assert report.accepted == 200
+        stream, expected = random.Random(9), []
+        for i in range(200):
+            t = now + i // 50
+            ref = oracle.login_values(oracle.draw_password(stream), as_int(card.n_i), as_int(secrets.y), t, hash_id, width)
+            expected.append((ref["cid"], card.n_i, ref["c_i"], t))
+        assert [(as_int(r.cid), r.n_i, as_int(r.c_i), r.t) for r in built] == expected
+        # both sides of a trial share the run's memo: one miss per clock second, hits for the rest
+        (chain,) = chains
+        assert (chain.cache_info().misses, chain.cache_info().hits) == (4, 2 * 200 - 4)
 
     @staticmethod
     def four_second_clock(now):

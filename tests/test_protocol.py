@@ -19,7 +19,6 @@ from authlab.protocol import (
     Reason,
     ServerSecrets,
     _chain,
-    _h,
     authenticate,
     change_password,
     issue_card,
@@ -469,7 +468,8 @@ class TestRunMemo:
         for hash_id in ("sha256", "sha3_256", "sha512"):
             new, n = hasher(hash_id)
             ref = oracle.login_values(b"", 0, 0, GOLDEN_T, hash_id, n * 8)  # n_i xor y is 0
-            assert chain(0, GOLDEN_T, n, new) == _chain(0, GOLDEN_T, n, new) == (ref["cid"] ^ ref["hpw"], ref["c_i"])
+            expected = (ref["cid"] ^ ref["hpw"], as_bits(ref["c_i"], n * 8))
+            assert chain(0, GOLDEN_T, n, new) == _chain(0, GOLDEN_T, n, new) == expected
 
     def test_what_chain_hashes_depends_on_card_and_t_alone(self, card, server_secrets, now):
         # so a memo keyed on chain's arguments never holds a password or its hash
@@ -497,4 +497,3 @@ class TestRunMemo:
         assert make_login_request.__kwdefaults__["chain"] is _chain
         assert authenticate.__kwdefaults__["chain"] is _chain
         assert not hasattr(_chain, "cache_info")
-        assert not hasattr(_h, "cache_info")

@@ -480,7 +480,7 @@ class TestBoundedServer:
             assert finished == [(False, True)] * (len(finished) - 1) + [(True, True)], name
         assert audited_reasons(audit) == ["MALFORMED_FRAME"] * len(sent)
 
-    def test_honest_login_waits_for_a_free_handler(self, quick_server, card, now, audit):
+    def test_honest_login_is_answered_while_tricklers_are_held(self, quick_server, card, now, audit):
         frame = encode_login_request(make_login_request(card, GOLDEN_PW, now))
         conns = [socket.create_connection(quick_server.address, timeout=5) for _ in range(16)]
         try:
@@ -502,7 +502,7 @@ class TestBoundedServer:
         assert reasons[0] == "OK"
         assert sorted(reasons) == ["MALFORMED_FRAME"] * 16 + ["OK"]
 
-    def test_close_returns_within_one_deadline_while_handlers_held(self, server_secrets, now, audit):
+    def test_close_returns_within_one_deadline_while_peers_held(self, server_secrets, now, audit):
         srv = AuthServer(ServerConfig(server_secrets, ("127.0.0.1", 0)), fixed_clock(now), audit_stream=audit)
         srv.io_timeout = IO_TIMEOUT
         conns = []
@@ -521,7 +521,7 @@ class TestBoundedServer:
         assert audited_reasons(audit) == ["MALFORMED_FRAME"] * 16
         assert not [t for t in threading.enumerate() if t.name.startswith("authlab-")]
 
-    def test_close_resets_the_backlog_within_one_deadline(self, server_secrets, now, audit):
+    def test_close_cuts_the_held_peers_within_one_deadline(self, server_secrets, now, audit):
         srv = AuthServer(ServerConfig(server_secrets, ("127.0.0.1", 0)), fixed_clock(now), audit_stream=audit)
         srv.io_timeout = IO_TIMEOUT
         conns = []
