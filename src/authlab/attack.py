@@ -24,7 +24,7 @@ from authlab.protocol import (
     ServerSecrets,
     SmartcardState,
     _chain,
-    authenticate,
+    _verdict,
     make_login_request,
 )
 
@@ -35,8 +35,9 @@ MAX_PASSWORD_LEN = 64
 # (the card's and the server's differ when the card's y is not the server's)
 MEMO_SIZE = 2
 
-# submit(card, typed_pw, t) -> decision; the default builds a request at t and
-# authenticates in-process, alternatives may go over the network
+# submit(card, typed_pw, t) -> decision, of which a trial keeps only the reason;
+# a submit may go over the network. With none, a trial builds the request at t and
+# takes the server check's reason in-process, with no AuthDecision
 Submit = Callable[[SmartcardState, Password, int], AuthDecision]
 
 
@@ -99,12 +100,13 @@ def run_random_password_attack(
     """Attempt `trials` logins with fresh random passwords instead of the real one.
 
     Deterministic given (seed, clock): passwords come from a seeded PRNG and
-    every timestamp from the injected clock. `submit` defaults to building the
-    request and authenticating in-process with a fresh receipt time, under
-    `window_secs`, `skew_secs` and `hash_id` (the card's when None). The card
-    is never modified.
+    every timestamp from the injected clock. A trial keeps only its Reason.
+    With no `submit`, a trial builds the request and runs the server check
+    in-process with a fresh receipt time, under `window_secs`, `skew_secs` and
+    `hash_id` (the card's when None), and takes its reason alone: it builds
+    no AuthDecision and does not unblind h(pw'). The card is never modified.
 
-    The default submit hashes with a memo of _chain made for this run, of
+    The default trial hashes with a memo of _chain made for this run, of
     MEMO_SIZE entries. A clock gives whole seconds, so every trial after the
     first in a clock second finds its chain there.
     """
@@ -113,17 +115,20 @@ def run_random_password_attack(
 
     if submit is None:
         chain = functools.lru_cache(maxsize=MEMO_SIZE)(_chain)
-        hid = card.hash_id if hash_id is None else hash_id  # submit is only ever given this run's card
+        hid = card.hash_id if hash_id is None else hash_id
 
-        def submit(c: SmartcardState, pw: Password, t: int) -> AuthDecision:
+        def trial(pw: Password, t: int) -> Reason:
             # arguments run left to right, so the request is built before the receipt time is read
-            return authenticate(
-                secrets, make_login_request(c, pw, t, chain=chain), clock(), window_secs,
-                skew_secs=skew_secs, hash_id=hid, chain=chain,
-            )
+            return _verdict(
+                secrets, make_login_request(card, pw, t, chain=chain), clock(), window_secs, skew_secs, hid, chain
+            )[0]
+
+    else:
+
+        def trial(pw: Password, t: int) -> Reason:
+            return submit(card, pw, t).reason
 
     rng = random.Random(seed)
     # arguments run left to right, so each trial draws its password before it reads the clock
-    log = tuple(submit(card, draw_password(rng), clock()).reason for _ in range(trials))
+    log = tuple(trial(draw_password(rng), clock()) for _ in range(trials))
     return AttackReport(seed=seed, trial_log=log)
-

@@ -46,7 +46,7 @@ class Reason(Enum):
         return self is _OK
 
 
-# module globals are cheaper to read than Enum members, and accepted and authenticate run per trial
+# module globals are cheaper to read than Enum members, and accepted and _verdict run per trial
 _OK = Reason.OK
 _CHECK_FAILED = Reason.CHECK_FAILED
 
@@ -202,6 +202,33 @@ def make_login_request(card: SmartcardState, typed_pw: Password, t: int, *, chai
     return LoginRequest(cid.to_bytes(n, "big"), card.n_i, c_i, t)
 
 
+def _verdict(
+    secrets: ServerSecrets,
+    req: LoginRequest,
+    t_star: int,
+    window_secs: int,
+    skew_secs: int,
+    hash_id: str,
+    chain: Chain = _chain,
+) -> tuple[Reason, int | None]:
+    """Every rule of the server check, as authenticate documents it: the reason,
+    and a = h(n_i xor y xor t) as an int, or None where no chain ran."""
+    if window_secs <= 0:
+        raise ValueError(f"window_secs must be positive, got {window_secs}")
+    n = len(secrets.y)
+    if len(req.cid) != n:
+        return _CHECK_FAILED, None
+    if t_star - req.t > window_secs:
+        return Reason.STALE_TIMESTAMP, None
+    if req.t - t_star > skew_secs:
+        return Reason.FUTURE_TIMESTAMP, None
+    new, digest_size = hasher(hash_id)
+    if digest_size != n:
+        raise ValueError(f"width mismatch: {hash_id} gives {digest_size * 8} bits, not {n * 8}")
+    a, c = chain(int.from_bytes(req.n_i, "big") ^ secrets.y_int, req.t, n, new)
+    return _OK if hmac.compare_digest(c, req.c_i) else _CHECK_FAILED, a
+
+
 def authenticate(
     secrets: ServerSecrets,
     req: LoginRequest,
@@ -216,9 +243,10 @@ def authenticate(
 
     Freshness first: a request older than window_secs is stale, one more than
     skew_secs ahead of the server clock is from the future; both boundaries
-    are closed (t_star - t == window_secs still passes). Then the password
-    hash is unblinded from cid, the binding value recomputed, and the check
-    value compared bit for bit.
+    are closed (t_star - t == window_secs still passes). Then the binding
+    value is recomputed and the check value compared bit for bit (_verdict),
+    and the password hash is unblinded from cid for the decision. An attack
+    run's default trial keeps only the reason, so it calls _verdict alone.
 
     The server keeps no per-user state and never touches its master secret x
     here; the shared card secret y and the request fields are all it uses.
@@ -226,22 +254,10 @@ def authenticate(
     what they send, and its hit or miss timing would tell any client whether
     another card logged in at some t.
     """
-    if window_secs <= 0:
-        raise ValueError(f"window_secs must be positive, got {window_secs}")
-    n = len(secrets.y)
-    if len(req.cid) != n:
-        return AuthDecision(Reason.CHECK_FAILED)
-    if t_star - req.t > window_secs:
-        return AuthDecision(Reason.STALE_TIMESTAMP)
-    if req.t - t_star > skew_secs:
-        return AuthDecision(Reason.FUTURE_TIMESTAMP)
-    new, digest_size = hasher(hash_id)
-    if digest_size != n:
-        raise ValueError(f"width mismatch: {hash_id} gives {digest_size * 8} bits, not {n * 8}")
-    a, c = chain(int.from_bytes(req.n_i, "big") ^ secrets.y_int, req.t, n, new)
-    ok = hmac.compare_digest(c, req.c_i)
-    recovered_hpw = int.from_bytes(req.cid, "big") ^ a
-    return AuthDecision(_OK if ok else _CHECK_FAILED, recovered_hpw.to_bytes(n, "big"))
+    reason, a = _verdict(secrets, req, t_star, window_secs, skew_secs, hash_id, chain)
+    if a is None:
+        return AuthDecision(reason)
+    return AuthDecision(reason, (int.from_bytes(req.cid, "big") ^ a).to_bytes(len(req.cid), "big"))
 
 
 def change_password(card: SmartcardState, typed_old_pw: Password, new_pw: Password) -> SmartcardState:

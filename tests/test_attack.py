@@ -172,6 +172,34 @@ class TestRandomPasswordAttack:
         report = run_random_password_attack(card, server_secrets, 1, 1, clock, skew_secs=10, hash_id="sha3_256")
         assert report.trial_log == (Reason.CHECK_FAILED,)
 
+    def test_default_trial_builds_no_decision(self, card, server_secrets, now, monkeypatch):
+        built = []
+
+        class CountingDecision(protocol.AuthDecision):
+            __slots__ = ()
+
+            def __init__(self, *args):
+                built.append(None)
+                super().__init__(*args)
+
+        def jittery_clock():
+            # t and its receipt time up to 80 s apart, so the log holds stale and future trials too
+            jitter = random.Random(31)
+            return lambda: now + jitter.randrange(80)
+
+        monkeypatch.setattr(protocol, "AuthDecision", CountingDecision)
+        default = run_random_password_attack(card, server_secrets, 1000, 4, jittery_clock())
+        assert len(built) == 0
+        clock = jittery_clock()
+
+        def submit(c, pw, t):
+            return authenticate(server_secrets, make_login_request(c, pw, t), clock())
+
+        submitted = run_random_password_attack(card, server_secrets, 1000, 4, clock, submit=submit)
+        assert len(built) == 1000
+        assert submitted.trial_log == default.trial_log
+        assert set(default.trial_log) == {Reason.OK, Reason.STALE_TIMESTAMP, Reason.FUTURE_TIMESTAMP}
+
     def test_log_holds_one_reference_per_trial(self, card, server_secrets, now):
         # a tuple slot is 8 bytes and every trial shares its Reason member, so
         # 32 bytes a trial leaves room for allocator slack

@@ -14,11 +14,14 @@ from conftest import GOLDEN_PW, GOLDEN_T, as_bits, as_int, random_bits
 from authlab.attack import MEMO_SIZE
 from authlab.bits import hash_bits, hash_bytes, hash_width, hasher
 from authlab.protocol import (
+    DEFAULT_SKEW_SECS,
+    DEFAULT_WINDOW_SECS,
     AuthDecision,
     LoginRequest,
     Reason,
     ServerSecrets,
     _chain,
+    _verdict,
     authenticate,
     change_password,
     issue_card,
@@ -295,6 +298,69 @@ class TestAuthenticate:
             authenticate(server_secrets, req, t_star=now, window_secs=0)
 
 
+class TestVerdict:
+    """_verdict is authenticate without the unblinding: one reason from both, and a exactly where a chain ran."""
+
+    @staticmethod
+    def mix(hash_id, rng):
+        """Secrets and a shuffled list of (request, t_star, expected reason, whether a chain runs)."""
+        width = hash_width(hash_id)
+        secrets = ServerSecrets(x=random_bits(rng, width), y=random_bits(rng, width))
+        card = issue_card(rng.randbytes(8), secrets, hash_id)
+        stranger = issue_card(rng.randbytes(8), ServerSecrets(x=secrets.x, y=random_bits(rng, width)), hash_id)
+
+        def req(t, c=card):
+            return make_login_request(c, rng.randbytes(rng.randint(0, 24)), t)
+
+        honest, half = req(GOLDEN_T), width // 16
+        flipped = replace(honest, c_i=as_bits(as_int(honest.c_i) ^ 1 << rng.randrange(width), width))
+        narrow = LoginRequest(honest.cid[:half], honest.n_i[:half], honest.c_i[:half], GOLDEN_T)
+        cases = [
+            (honest, GOLDEN_T, Reason.OK, True),
+            (req(GOLDEN_T - DEFAULT_WINDOW_SECS), GOLDEN_T, Reason.OK, True),
+            (req(GOLDEN_T - DEFAULT_WINDOW_SECS - 1), GOLDEN_T, Reason.STALE_TIMESTAMP, False),
+            (req(GOLDEN_T + DEFAULT_SKEW_SECS), GOLDEN_T, Reason.OK, True),
+            (req(GOLDEN_T + DEFAULT_SKEW_SECS + 1), GOLDEN_T, Reason.FUTURE_TIMESTAMP, False),
+            (flipped, GOLDEN_T, Reason.CHECK_FAILED, True),
+            (narrow, GOLDEN_T, Reason.CHECK_FAILED, False),
+            (req(GOLDEN_T, stranger), GOLDEN_T, Reason.CHECK_FAILED, True),
+        ]
+        rng.shuffle(cases)
+        return secrets, cases
+
+    @pytest.mark.parametrize("hash_id", ["sha256", "sha512"])
+    def test_both_routes_give_one_reason(self, hash_id):
+        secrets, cases = self.mix(hash_id, random.Random(29))
+        for req, t_star, reason, chained in cases:
+            calls = []
+
+            def chain(n_y, t, n, new):
+                calls.append(t)
+                return _chain(n_y, t, n, new)
+
+            got, a = _verdict(secrets, req, t_star, DEFAULT_WINDOW_SECS, DEFAULT_SKEW_SECS, hash_id, chain)
+            decision = authenticate(secrets, req, t_star, hash_id=hash_id, chain=chain)
+            assert got is decision.reason is reason
+            assert (a is not None) is (decision.recovered_hpw is not None) is chained
+            assert len(calls) == 2 * chained
+            if chained:
+                assert as_int(decision.recovered_hpw) == as_int(req.cid) ^ a == oracle_decision(secrets, req, hash_id)[1]
+
+    def test_both_routes_raise_alike(self, card, server_secrets, now):
+        req = make_login_request(card, GOLDEN_PW, now)
+        for window_secs, hash_id, message in (
+            (0, "sha256", "window_secs must be positive, got 0"),
+            (-1, "sha256", "window_secs must be positive, got -1"),
+            (60, "sha512", "width mismatch: sha512 gives 512 bits, not 256"),
+            (60, "sha224", "width mismatch: sha224 gives 224 bits, not 256"),
+        ):
+            with pytest.raises(ValueError) as verdict_error:
+                _verdict(server_secrets, req, now, window_secs, DEFAULT_SKEW_SECS, hash_id)
+            with pytest.raises(ValueError) as decision_error:
+                authenticate(server_secrets, req, now, window_secs, hash_id=hash_id)
+            assert str(verdict_error.value) == str(decision_error.value) == message
+
+
 class TestChangePassword:
     def test_same_password_is_identity(self, card):
         assert change_password(card, b"pw", b"pw").n_i == card.n_i
@@ -496,4 +562,6 @@ class TestRunMemo:
         # a memo shared by a server's clients would time one card's logins for another client
         assert make_login_request.__kwdefaults__["chain"] is _chain
         assert authenticate.__kwdefaults__["chain"] is _chain
+        # authenticate passes its chain on, so the check itself must not default to a memo either
+        assert inspect.signature(_verdict).parameters["chain"].default is _chain
         assert not hasattr(_chain, "cache_info")
