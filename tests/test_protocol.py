@@ -303,7 +303,7 @@ class TestVerdict:
 
     @staticmethod
     def mix(hash_id, rng):
-        """Secrets and a shuffled list of (request, t_star, expected reason, whether a chain runs)."""
+        """Secrets and a shuffled list of (request, expected reason at GOLDEN_T, whether a chain runs)."""
         width = hash_width(hash_id)
         secrets = ServerSecrets(x=random_bits(rng, width), y=random_bits(rng, width))
         card = issue_card(rng.randbytes(8), secrets, hash_id)
@@ -316,14 +316,14 @@ class TestVerdict:
         flipped = replace(honest, c_i=as_bits(as_int(honest.c_i) ^ 1 << rng.randrange(width), width))
         narrow = LoginRequest(honest.cid[:half], honest.n_i[:half], honest.c_i[:half], GOLDEN_T)
         cases = [
-            (honest, GOLDEN_T, Reason.OK, True),
-            (req(GOLDEN_T - DEFAULT_WINDOW_SECS), GOLDEN_T, Reason.OK, True),
-            (req(GOLDEN_T - DEFAULT_WINDOW_SECS - 1), GOLDEN_T, Reason.STALE_TIMESTAMP, False),
-            (req(GOLDEN_T + DEFAULT_SKEW_SECS), GOLDEN_T, Reason.OK, True),
-            (req(GOLDEN_T + DEFAULT_SKEW_SECS + 1), GOLDEN_T, Reason.FUTURE_TIMESTAMP, False),
-            (flipped, GOLDEN_T, Reason.CHECK_FAILED, True),
-            (narrow, GOLDEN_T, Reason.CHECK_FAILED, False),
-            (req(GOLDEN_T, stranger), GOLDEN_T, Reason.CHECK_FAILED, True),
+            (honest, Reason.OK, True),
+            (req(GOLDEN_T - DEFAULT_WINDOW_SECS), Reason.OK, True),
+            (req(GOLDEN_T - DEFAULT_WINDOW_SECS - 1), Reason.STALE_TIMESTAMP, False),
+            (req(GOLDEN_T + DEFAULT_SKEW_SECS), Reason.OK, True),
+            (req(GOLDEN_T + DEFAULT_SKEW_SECS + 1), Reason.FUTURE_TIMESTAMP, False),
+            (flipped, Reason.CHECK_FAILED, True),
+            (narrow, Reason.CHECK_FAILED, False),
+            (req(GOLDEN_T, stranger), Reason.CHECK_FAILED, True),
         ]
         rng.shuffle(cases)
         return secrets, cases
@@ -331,15 +331,15 @@ class TestVerdict:
     @pytest.mark.parametrize("hash_id", ["sha256", "sha512"])
     def test_both_routes_give_one_reason(self, hash_id):
         secrets, cases = self.mix(hash_id, random.Random(29))
-        for req, t_star, reason, chained in cases:
+        for req, reason, chained in cases:
             calls = []
 
             def chain(n_y, t, n, new):
                 calls.append(t)
                 return _chain(n_y, t, n, new)
 
-            got, a = _verdict(secrets, req, t_star, DEFAULT_WINDOW_SECS, DEFAULT_SKEW_SECS, hash_id, chain)
-            decision = authenticate(secrets, req, t_star, hash_id=hash_id, chain=chain)
+            got, a = _verdict(secrets, req, GOLDEN_T, DEFAULT_WINDOW_SECS, DEFAULT_SKEW_SECS, hash_id, chain)
+            decision = authenticate(secrets, req, GOLDEN_T, hash_id=hash_id, chain=chain)
             assert got is decision.reason is reason
             assert (a is not None) is (decision.recovered_hpw is not None) is chained
             assert len(calls) == 2 * chained
