@@ -82,7 +82,7 @@ def draw_password(rng: random.Random) -> Password:
     n = rng.getrandbits(7)
     while n > MAX_PASSWORD_LEN:  # the draws randrange(65) makes, without its Python frames
         n = rng.getrandbits(7)
-    return rng.randbytes(n)
+    return rng.getrandbits(n * 8).to_bytes(n, "little")  # Random.randbytes' body, without its frame
 
 
 def run_random_password_attack(

@@ -2,7 +2,8 @@
 passwords, and run the random-password attack.
 
 stdout carries machine-readable JSON only; every human-facing diagnostic goes
-to stderr. Exit codes: 0 success/accepted, 1 rejected (login) or vulnerability
+to stderr, and so does an attack's wall-clock throughput, which would make
+stdout differ between runs of one seed. Exit codes: 0 success/accepted, 1 rejected (login) or vulnerability
 not confirmed (attack), 2 bad input or config, 3 unwritable output, 4 bind
 failure, 5 connection failure.
 """
@@ -171,14 +172,17 @@ def cmd_attack(args: argparse.Namespace, clock: Clock) -> int:
             return client_login(address, c, pw, fixed_clock(t))  # the runner's one reading for the trial
 
     try:
+        start = time.perf_counter()
         report = run_random_password_attack(
             card, config.secrets, args.trials, args.seed, clock, window_secs=config.window_secs,
             skew_secs=config.skew_secs, hash_id=config.hash_id, submit=submit,
         )
+        elapsed = time.perf_counter() - start
     except WireError as exc:
         _diag(f"remote attack failed: {exc}")
         return EXIT_CONNECTION_FAILURE
     print(report.to_json(), flush=True)
+    print(json.dumps({"elapsed_s": elapsed, "trials_per_s": report.trials / elapsed}), file=sys.stderr, flush=True)
     return EXIT_OK if report.acceptance_rate == 1.0 else EXIT_REJECTED
 
 

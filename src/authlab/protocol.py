@@ -41,12 +41,12 @@ class Reason(Enum):
     FUTURE_TIMESTAMP = "FUTURE_TIMESTAMP"
     CHECK_FAILED = "CHECK_FAILED"
 
-    @property
-    def accepted(self) -> bool:
-        return self is _OK
+    def __init__(self, value: str) -> None:
+        # set once per member: a property would run on every read, and a trial's reason is read per trial
+        self.accepted = value == "OK"
 
 
-# module globals are cheaper to read than Enum members, and accepted and _verdict run per trial
+# module globals are cheaper to read than Enum members, and _verdict runs per trial
 _OK = Reason.OK
 _CHECK_FAILED = Reason.CHECK_FAILED
 
@@ -193,13 +193,21 @@ def make_login_request(card: SmartcardState, typed_pw: Password, t: int, *, chai
     The typed password is *not* checked against anything: the card stores no
     verifier, so any byte string is accepted here and, by construction of the
     server check, later. cid xor hpw is a = h(n_i xor y xor t), so b is h(a).
+
+    Every invariant LoginRequest.__init__ checks holds here by construction:
+    t is checked below, before any hash, and cid, c_i and the card's n_i are
+    each n = k/8 bytes. So the request is stored through its slots unchecked.
     """
-    if not 0 <= t <= MAX_TIMESTAMP:
+    if not 0 <= t <= MAX_TIMESTAMP:  # before any hash: to_bytes would raise OverflowError for a negative t
         raise ValueError(f"timestamp out of 64-bit range: {t}")
     new, n = hasher(card.hash_id)  # the card checked that its hash gives k bits
     a, c_i = chain(card.n_y, t, n, new)
-    cid = _digest(typed_pw, new) ^ a
-    return LoginRequest(cid.to_bytes(n, "big"), card.n_i, c_i, t)
+    req = object.__new__(LoginRequest)
+    _set_cid(req, (int.from_bytes(new(typed_pw).digest(), "big") ^ a).to_bytes(n, "big"))
+    _set_n_i(req, card.n_i)
+    _set_c_i(req, c_i)
+    _set_t(req, t)
+    return req
 
 
 def _verdict(
