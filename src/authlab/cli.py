@@ -3,9 +3,9 @@ passwords, and run the random-password attack.
 
 stdout carries machine-readable JSON only; every human-facing diagnostic goes
 to stderr, and so does an attack's wall-clock throughput, which would make
-stdout differ between runs of one seed. Exit codes: 0 success/accepted, 1 rejected (login) or vulnerability
-not confirmed (attack), 2 bad input or config, 3 unwritable output, 4 bind
-failure, 5 connection failure.
+stdout differ between runs of one seed. Exit codes: 0 success/accepted, 1
+rejected (login) or vulnerability not confirmed (attack), 2 bad input or
+config, 3 unwritable output, 4 bind failure, 5 connection failure.
 """
 
 from __future__ import annotations
@@ -171,16 +171,16 @@ def cmd_attack(args: argparse.Namespace, clock: Clock) -> int:
         def submit(c, pw, t):
             return client_login(address, c, pw, fixed_clock(t))  # the runner's one reading for the trial
 
+    start = time.perf_counter()
     try:
-        start = time.perf_counter()
         report = run_random_password_attack(
             card, config.secrets, args.trials, args.seed, clock, window_secs=config.window_secs,
             skew_secs=config.skew_secs, hash_id=config.hash_id, submit=submit,
         )
-        elapsed = time.perf_counter() - start
     except WireError as exc:
         _diag(f"remote attack failed: {exc}")
         return EXIT_CONNECTION_FAILURE
+    elapsed = time.perf_counter() - start
     print(report.to_json(), flush=True)
     print(json.dumps({"elapsed_s": elapsed, "trials_per_s": report.trials / elapsed}), file=sys.stderr, flush=True)
     return EXIT_OK if report.acceptance_rate == 1.0 else EXIT_REJECTED

@@ -224,15 +224,56 @@ class TestChangePassword:
         capsys.readouterr()
 
 
+def report_line(trials, accepted, seed):
+    """The exact stdout of `authlab attack`: one JSON line with the report's keys in order."""
+    rate = f"{accepted / trials}"
+    return (
+        f'{{"scenario": "RANDOM_PASSWORD", "trials": {trials}, "accepted": {accepted}, '
+        f'"acceptance_rate": {rate}, "seed": {seed}}}\n'
+    )
+
+
 class TestAttack:
-    def test_random_password_report(self, card_path, config_path, fake_now, capsys):
+    def test_random_password_report(self, card_path, config_path, tmp_path, live_server, fake_now, capsys):
         code = main([
             "attack", "--card", str(card_path), "--config", str(config_path),
             "--trials", "1000", "--seed", "42",
         ])
-        out, _ = capsys.readouterr()
+        out, err = capsys.readouterr()
         assert code == 0
         assert out == '{"scenario": "RANDOM_PASSWORD", "trials": 1000, "accepted": 1000, "acceptance_rate": 1.0, "seed": 42}\n'
+        # the wall-clock throughput goes to stderr alone, so stdout stays byte-identical
+        throughput = json.loads(err.splitlines()[-1])
+        assert list(throughput) == ["elapsed_s", "trials_per_s"]
+        assert all(type(v) is float and v > 0 for v in throughput.values())
+
+        # exact lines for more runs, on sha256 and sha512, in-process and over the wire, and 0 accepted on a server of another y
+        x_hex, y_hex = (hash_bytes(label, "sha512").hex() for label in (b"server-x", b"server-y"))
+        (tmp_path / "sha512").mkdir()
+        wide = write_config(tmp_path / "sha512", x_hex=x_hex, y_hex=y_hex, hash_id="sha512")
+        wide_card = tmp_path / "sha512" / "alice.card"
+        assert main(["register", "--config", str(wide), "--out", str(wide_card), "--password", PW]) == 0
+        (tmp_path / "other-y").mkdir()
+        stranger = write_config(tmp_path / "other-y", y_hex=GOLDEN_X_HEX)
+        capsys.readouterr()
+        with AuthServer(load_server_config(wide), fixed_clock(fake_now), audit_stream=io.StringIO()) as srv:
+            runs = [
+                (card_path, config_path, [], 37, 0, 37),
+                (card_path, config_path, [], 5, 99999, 5),
+                (card_path, config_path, ["--remote", live_server], 37, 0, 37),
+                (card_path, stranger, [], 37, 0, 0),
+                (wide_card, wide, [], 1000, 42, 1000),
+                (wide_card, wide, [], 37, 0, 37),
+                (wide_card, wide, [], 5, 99999, 5),
+                (wide_card, wide, ["--remote", "%s:%d" % srv.address], 37, 0, 37),
+            ]
+            for card, config, remote, trials, seed, accepted in runs:
+                code = main([
+                    "attack", "--card", str(card), "--config", str(config),
+                    "--trials", str(trials), "--seed", str(seed), *remote,
+                ])
+                out, _ = capsys.readouterr()
+                assert (code, out) == (0 if accepted == trials else 1, report_line(trials, accepted, seed))
 
     def test_cloned_card_report(self, card_path, config_path, fake_now, capsys):
         # no such option: the cloned-card claim runs on a minted card in tests/test_attack.py

@@ -11,8 +11,9 @@ import pytest
 
 import oracle
 from conftest import GOLDEN_PW, GOLDEN_T, as_bits, as_int, random_bits
+from authlab import protocol
 from authlab.attack import MEMO_SIZE
-from authlab.bits import hash_bits, hash_bytes, hash_width, hasher
+from authlab.bits import MAX_TIMESTAMP, hash_bits, hash_bytes, hash_width, hasher
 from authlab.protocol import (
     DEFAULT_SKEW_SECS,
     DEFAULT_WINDOW_SECS,
@@ -145,6 +146,45 @@ class TestLoginRequest:
             with pytest.raises(ValueError):
                 make_login_request(card, GOLDEN_PW, t)
 
+    # every hash id issue_card takes here; sha512_256 is OpenSSL's, so only where it has one
+    @pytest.mark.parametrize("hash_id", [
+        "sha256", "sha384", "sha512", "sha3_256",
+        pytest.param("sha512_256", marks=pytest.mark.skipif(
+            "sha512_256" not in hashlib.algorithms_available, reason="this OpenSSL has no sha512_256")),
+    ])
+    def test_built_request_passes_the_checked_constructor(self, hash_id, monkeypatch):
+        # make_login_request stores its fields unchecked, so each must be what LoginRequest.__init__ accepts
+        rng = random.Random(30)
+        width = hash_width(hash_id)
+        secrets = ServerSecrets(x=random_bits(rng, width), y=random_bits(rng, width))
+        memo = functools.lru_cache(maxsize=MEMO_SIZE)(_chain)
+        for _ in range(3):
+            card = issue_card(rng.randbytes(rng.randint(0, 24)), secrets, hash_id)
+            for t in (0, GOLDEN_T, rng.getrandbits(64), MAX_TIMESTAMP):
+                pw = rng.randbytes(rng.randint(0, 64))
+                ref = oracle.login_values(pw, as_int(card.n_i), as_int(secrets.y), t, hash_id, width)
+                for chain in (_chain, memo):  # plain, and as an attack run's default trial hashes
+                    r = make_login_request(card, pw, t, chain=chain)
+                    assert LoginRequest(r.cid, r.n_i, r.c_i, r.t) == r
+                    assert [(type(f), len(f)) for f in (r.cid, r.n_i, r.c_i)] == [(bytes, width // 8)] * 3
+                    assert (as_int(r.cid), r.n_i, as_int(r.c_i), r.t) == (ref["cid"], card.n_i, ref["c_i"], t)
+
+        # the one check it keeps runs before any hash, so a negative t gets it and not to_bytes' OverflowError
+        hashed = []
+        real_new, n = hasher(hash_id)
+
+        def counting_new(data):
+            hashed.append(data)
+            return real_new(data)
+
+        monkeypatch.setattr(protocol, "hasher", lambda hash_id: (counting_new, n))
+        for t in (-1, 1 << 64):
+            with pytest.raises(ValueError, match=rf"^timestamp out of 64-bit range: {t}$"):
+                make_login_request(card, pw, t)
+        assert hashed == []
+        make_login_request(card, pw, MAX_TIMESTAMP)  # the counter does see a login's four hashes
+        assert len(hashed) == 4
+
     def test_openssl_only_hash_name_gives_identical_request(self, card, now):
         # both names get the built-in sha256, except where there is none or OpenSSL is in FIPS
         # mode: then "SHA256", not a hashlib attribute, gets hashlib.new and "sha256" the named one
@@ -214,6 +254,24 @@ class TestRecords:
         decision = AuthDecision(Reason.OK, hpw)
         assert hash(decision) == hash(AuthDecision(Reason.OK, hashlib.sha256(b"pw").digest()))
         assert repr(decision) == f"AuthDecision(reason=<Reason.OK: 'OK'>, recovered_hpw={hpw!r})"
+
+
+class TestReason:
+    def test_accepted_is_a_bool_true_for_ok_only(self):
+        assert list(Reason.__members__) == ["OK", "STALE_TIMESTAMP", "FUTURE_TIMESTAMP", "CHECK_FAILED"]
+        assert [r for r in Reason if r.accepted] == [Reason.OK]
+        assert all(type(r.accepted) is bool for r in Reason)
+
+    def test_a_decision_reads_its_reasons_flag(self):
+        for r in Reason:
+            for decision in (AuthDecision(r), AuthDecision(r, hash_bytes(b"pw"))):
+                assert decision.accepted is r.accepted
+
+    def test_copies_keep_the_flag(self):
+        for r in Reason:
+            pickled = [pickle.loads(pickle.dumps(r, proto)) for proto in range(pickle.HIGHEST_PROTOCOL + 1)]
+            for same in (Reason(r.value), *pickled, copy.copy(r), copy.deepcopy(r)):
+                assert same is r and same.accepted is r.accepted
 
 
 class TestAuthenticate:
